@@ -472,24 +472,12 @@ pub fn run_cluster(scenario: &ClusterScenario, streams: &[ClusterStream]) -> Clu
                     si,
                     stream,
                     cost,
-                    stream.threads_per_client,
                     &mut shard_rngs[ci],
                     // Each client machine offers an even share of the
                     // stream's total load.
                     stream.open.as_ref().map(|o| o.share(stream.clients.len())),
+                    (n_clients, n_servers),
                 );
-                if let Some(spec) = &stream.kv {
-                    shards[ci].install_kv_client(si, spec, n_clients, n_servers);
-                }
-                if let Some(spec) = &stream.farmem {
-                    shards[ci].install_fm_client(
-                        si,
-                        spec,
-                        n_clients,
-                        n_servers,
-                        &mut shard_rngs[ci],
-                    );
-                }
             }
         } else {
             assert!(
@@ -504,19 +492,10 @@ pub fn run_cluster(scenario: &ClusterScenario, streams: &[ClusterStream]) -> Clu
                 si,
                 stream,
                 cost,
-                stream.threads_per_client,
                 &mut shard_rngs[server_shard],
                 stream.open.clone(),
+                (n_clients, n_servers),
             );
-            if let Some(spec) = &stream.farmem {
-                shards[server_shard].install_fm_client(
-                    si,
-                    spec,
-                    n_clients,
-                    n_servers,
-                    &mut shard_rngs[server_shard],
-                );
-            }
         }
         if let Some(o) = &stream.open {
             if stream.kv.is_none() && stream.farmem.is_none() {
@@ -661,7 +640,7 @@ pub fn run_cluster(scenario: &ClusterScenario, streams: &[ClusterStream]) -> Clu
     );
     set(
         "requests_completed",
-        shards.iter().map(|s| s.counters().completed).sum(),
+        results.iter().map(|r| r.completions).sum(),
     );
     set(
         "posts_deferred",

@@ -1,6 +1,6 @@
 //! One representative point of every paper figure, as a timed bench:
 //! `cargo bench` therefore exercises the full experiment matrix end to
-//! end (with micro horizons; the figure binaries run the full sweeps).
+//! end (with micro horizons; `run_all` runs the full sweeps).
 //!
 //! Runs on the in-tree harness (`snic_bench::timing`); tune with
 //! `BENCH_SAMPLES` / `BENCH_WARMUP`.

@@ -1,15 +1,14 @@
 //! `snic-bench` — benchmark harness regenerating every table and figure.
 //!
-//! Each paper artifact has a binary (`src/bin/fig*.rs`, `table3_*.rs`)
-//! that prints the regenerated series as an aligned table and as CSV;
-//! `run_all` emits everything. The in-tree [`timing`] benches
-//! (`benches/`) cover the simulator primitives, one point of each
-//! figure, and the ablations flagged in DESIGN.md §7.
+//! The `run_all` binary prints every regenerated series as an aligned
+//! table and optionally as CSV; `--only <name>` selects one artifact.
+//! The in-tree [`timing`] benches (`benches/`) cover the simulator
+//! primitives, one point of each figure, and the ablations flagged in
+//! DESIGN.md §7.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod report;
 pub mod timing;
 
 use std::fs;
@@ -21,7 +20,7 @@ use snic_core::report::Table;
 /// Output directory for CSV files.
 pub const RESULTS_DIR: &str = "results";
 
-/// CLI options shared by the figure binaries.
+/// CLI options of the `run_all` figure runner.
 #[derive(Debug, Clone, Default)]
 pub struct Options {
     /// Shrink sweeps and horizons (`--quick`).
@@ -29,9 +28,9 @@ pub struct Options {
     /// Write CSV files under [`RESULTS_DIR`] (`--csv`).
     pub csv: bool,
     /// Only run jobs whose name starts with this prefix
-    /// (`--only <prefix>`; `run_all` only).
+    /// (`--only <prefix>`).
     pub only: Option<String>,
-    /// Cap concurrent experiment jobs (`--jobs N`; `run_all` only).
+    /// Cap concurrent experiment jobs (`--jobs N`).
     pub jobs: Option<usize>,
 }
 

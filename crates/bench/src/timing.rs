@@ -18,8 +18,7 @@
 //! times are inherently noisy; the harness reports distribution summary
 //! statistics and leaves regression judgement to the reader. The
 //! [`Bench::measure`] entry point additionally captures a per-iteration
-//! *simulated event count* so macro benchmarks can report events/sec —
-//! the quantity the `BENCH_*.json` perf trajectory tracks.
+//! *simulated event count* so macro benchmarks can report events/sec.
 
 use std::time::Instant;
 
@@ -72,7 +71,7 @@ fn env_knob(name: &str, default: usize, min: usize) -> usize {
 /// bit-for-bit deterministic.
 #[derive(Debug, Clone)]
 pub struct Measurement {
-    /// Benchmark name (stable key in `BENCH_*.json`).
+    /// Benchmark name.
     pub name: String,
     /// Sorted per-iteration wall times [ns].
     pub samples: Vec<u64>,
@@ -183,7 +182,7 @@ impl Bench {
 
     /// Times `f` — which must return the number of simulated events one
     /// iteration delivered — and returns the full [`Measurement`] so the
-    /// caller can serialize it (`BENCH_*.json`) as well as print it.
+    /// caller can post-process it as well as print it.
     pub fn measure(&self, name: &str, mut f: impl FnMut() -> u64) -> Measurement {
         for _ in 0..self.warmup {
             black_box(f());

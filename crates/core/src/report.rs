@@ -1,9 +1,9 @@
 //! Plain-text table and CSV rendering for figure data.
 //!
 //! Every experiment produces a [`Table`]: a header row plus data rows of
-//! strings. The figure binaries print both a human-readable aligned table
-//! and CSV (for plotting), so `cargo run --bin fig4_lat_tput` regenerates
-//! the paper's series directly.
+//! strings. The figure runner prints both a human-readable aligned table
+//! and CSV (for plotting), so `cargo run --bin run_all -- --only fig4`
+//! regenerates the paper's series directly.
 
 /// A rendered result table.
 #[derive(Debug, Clone, Default)]

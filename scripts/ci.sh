@@ -38,6 +38,21 @@ if ! grep -q "6 passed" <<<"$det_out"; then
     exit 1
 fi
 
+# The cluster serving arms must reproduce their golden digests (CSV
+# plus every registry counter of ~30 short rack runs). Run the five
+# golden tests by name and refuse a run where the filter matched
+# anything else.
+golden_out=$(cargo test --release --offline -p offpath-smartnic --test golden golden_ 2>&1) || {
+    echo "$golden_out"
+    echo "ci.sh: cluster golden digests FAILED" >&2
+    exit 1
+}
+if ! grep -q "5 passed" <<<"$golden_out"; then
+    echo "$golden_out"
+    echo "ci.sh: expected exactly the five golden_* tests (filtered out or renamed?)" >&2
+    exit 1
+fi
+
 # Smoke the cluster runtime end to end through its example, and the
 # fault-injection, open-loop, KV-service, far-memory and BF-3 DPA
 # sweeps through the figure runner.
@@ -48,15 +63,19 @@ cargo run --release --offline -p snic-bench --bin run_all -- --only 17 --quick
 cargo run --release --offline -p snic-bench --bin run_all -- --only 18 --quick
 cargo run --release --offline -p snic-bench --bin run_all -- --only 19 --quick
 
-# Perf-trajectory smoke: run the macro-bench suite at minimum sample
-# count, then re-parse the emitted snapshot and require every expected
-# bench key with sane throughput fields — a broken emitter (or a bench
-# that stops reporting events) fails tier-1 here, not in the next PR's
-# baseline comparison.
-bench_snap=$(mktemp -t bench_smoke.XXXXXX.json)
-trap 'rm -f "$bench_snap"' EXIT
-BENCH_SAMPLES=3 BENCH_WARMUP=0 cargo run --release --offline -p snic-bench \
-    --bin perf -- --out "$bench_snap"
-cargo run --release --offline -p snic-bench --bin perf -- --check "$bench_snap"
+# Repository benchmark smoke: snicbench's own tests, then every workload
+# at --seconds 0 (its minimum of three passes). snicbench exits 0 even
+# when a simulation fails its check, so each result line must report
+# "failed": 0.
+cargo test --offline --manifest-path snicbench/Cargo.toml
+for workload in rack_verbs rack_services harness_sweep; do
+    bench_out=$(cargo run --release --offline --quiet --manifest-path snicbench/Cargo.toml -- \
+        --workload "$workload" --seed 42 --seconds 0 --trace 0)
+    echo "$bench_out"
+    if ! tail -n 1 <<<"$bench_out" | grep -q '"failed": 0'; then
+        echo "ci.sh: snicbench $workload reported failed operations" >&2
+        exit 1
+    fi
+done
 
-echo "ci.sh: build + tests + fmt + clippy + cluster determinism + bench smoke all green (offline)"
+echo "ci.sh: build + tests + fmt + clippy + cluster determinism + golden digests + benchmark smoke all green (offline)"

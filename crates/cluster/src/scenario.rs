@@ -75,10 +75,12 @@ pub struct ClusterStream {
 }
 
 impl ClusterStream {
-    /// A stream issued from `clients` with the same paper-default
-    /// windows, thread counts, address range and posting mode as
+    /// A stream issued from `clients` with the path's paper-default
+    /// threads, window and posting mode (see
+    /// [`PosterKind::default_threads`]) and the same address range as
     /// `snic-core`'s `StreamSpec::new`.
     pub fn new(path: PathKind, verb: Verb, payload: u64, clients: Vec<usize>) -> Self {
+        let poster = PosterKind::for_path(path);
         ClusterStream {
             label: format!("{} {}", path.label(), verb.label()),
             path,
@@ -87,21 +89,9 @@ impl ClusterStream {
             addr_base: 0,
             addr_range: 1 << 30,
             clients,
-            threads_per_client: match path {
-                PathKind::Rnic1 | PathKind::Snic1 | PathKind::Snic2 => 12,
-                PathKind::Snic3H2S => 24,
-                PathKind::Snic3S2H => 8,
-            },
-            window: match path {
-                PathKind::Rnic1 | PathKind::Snic1 | PathKind::Snic2 => 8,
-                PathKind::Snic3H2S => 4,
-                PathKind::Snic3S2H => 9,
-            },
-            post_mode: if path == PathKind::Snic3S2H {
-                PostMode::Doorbell(32)
-            } else {
-                PostMode::Mmio
-            },
+            threads_per_client: poster.default_threads(),
+            window: poster.default_window(),
+            post_mode: poster.default_post_mode(),
             open: None,
             kv: None,
             farmem: None,

@@ -38,6 +38,29 @@ pub enum ServerKind {
     Custom(topology::MachineSpec),
 }
 
+impl ServerKind {
+    /// The paper's responder for `path`: the plain RNIC for `RNIC(1)`,
+    /// the Bluefield-2 for every SmartNIC path.
+    pub fn for_path(path: PathKind) -> ServerKind {
+        if path == PathKind::Rnic1 {
+            ServerKind::Rnic
+        } else {
+            ServerKind::Bluefield
+        }
+    }
+
+    /// A fabric of this responder with `n_clients` requester machines.
+    pub fn fabric(self, n_clients: usize) -> Fabric {
+        match self {
+            ServerKind::Bluefield => Fabric::bluefield_testbed(n_clients),
+            ServerKind::Rnic => Fabric::rnic_testbed(n_clients),
+            ServerKind::Custom(spec) => {
+                Fabric::new(spec, n_clients, topology::cluster::WireSpec::sb7890())
+            }
+        }
+    }
+}
+
 /// One load stream: a set of requester threads issuing one verb on one
 /// path.
 #[derive(Debug, Clone)]
@@ -73,33 +96,14 @@ pub struct StreamSpec {
 }
 
 impl StreamSpec {
-    /// Default window per path, calibrated to the paper's §3.3
-    /// observation that a single requester processor cannot saturate the
-    /// NIC with small requests (S2H 29 M/s, H2S 51.2 M/s).
-    pub fn default_window(path: PathKind) -> usize {
-        match path {
-            PathKind::Rnic1 | PathKind::Snic1 | PathKind::Snic2 => 8,
-            PathKind::Snic3H2S => 4,
-            PathKind::Snic3S2H => 9,
-        }
-    }
-
-    /// Default thread count per requester (the paper uses 12-thread
-    /// client processes; path-3 requesters use all 24 host cores or all
-    /// 8 SoC cores).
-    pub fn default_threads(path: PathKind) -> usize {
-        match path {
-            PathKind::Rnic1 | PathKind::Snic1 | PathKind::Snic2 => 12,
-            PathKind::Snic3H2S => 24,
-            PathKind::Snic3S2H => 8,
-        }
-    }
-
-    /// A stream over `n_clients` requester machines with paper-default
-    /// windows and threads, targeting a 10 GB region (§2.4 uses 10 GB of
-    /// randomly addressed memory... scaled to 1 GB here to bound memory
-    /// tracking; the range only matters at the small end, Figure 7).
+    /// A stream over `n_clients` requester machines with the path's
+    /// paper-default threads, window and posting mode (see
+    /// [`PosterKind::default_threads`]), targeting a 10 GB region (§2.4
+    /// uses 10 GB of randomly addressed memory... scaled to 1 GB here to
+    /// bound memory tracking; the range only matters at the small end,
+    /// Figure 7).
     pub fn new(path: PathKind, verb: Verb, payload: u64, n_clients: usize) -> Self {
+        let poster = PosterKind::for_path(path);
         StreamSpec {
             label: format!("{} {}", path.label(), verb.label()),
             path,
@@ -108,16 +112,9 @@ impl StreamSpec {
             addr_base: 0,
             addr_range: 1 << 30,
             clients: (0..n_clients).collect(),
-            threads_per_client: Self::default_threads(path),
-            window: Self::default_window(path),
-            // The paper's framework applies the known optimizations
-            // (§2.4), which on the SoC side means doorbell batching
-            // (Advice #4 makes MMIO posting from the A72 prohibitive).
-            post_mode: if path == PathKind::Snic3S2H {
-                PostMode::Doorbell(32)
-            } else {
-                PostMode::Mmio
-            },
+            threads_per_client: poster.default_threads(),
+            window: poster.default_window(),
+            post_mode: poster.default_post_mode(),
             rate_cap: None,
             dpa: false,
         }
@@ -446,15 +443,7 @@ pub fn run_scenario_detailed(
     scenario: &Scenario,
     streams: &[StreamSpec],
 ) -> (ScenarioResult, Fabric) {
-    let mut fabric = match scenario.server {
-        ServerKind::Bluefield => Fabric::bluefield_testbed(scenario.n_clients),
-        ServerKind::Rnic => Fabric::rnic_testbed(scenario.n_clients),
-        ServerKind::Custom(spec) => Fabric::new(
-            spec,
-            scenario.n_clients,
-            topology::cluster::WireSpec::sb7890(),
-        ),
-    };
+    let mut fabric = scenario.server.fabric(scenario.n_clients);
     let mut root_rng = SimRng::seed(scenario.seed);
 
     let mut states: Vec<StreamState> = streams
@@ -783,11 +772,7 @@ pub fn run_scenario_detailed(
 /// methodology (1 client, window 1, 1 thread).
 pub fn measure_latency(path: PathKind, verb: Verb, payload: u64) -> StreamResult {
     let scenario = Scenario {
-        server: if path == PathKind::Rnic1 {
-            ServerKind::Rnic
-        } else {
-            ServerKind::Bluefield
-        },
+        server: ServerKind::for_path(path),
         ..Scenario::latency()
     };
     let spec = StreamSpec {
@@ -803,11 +788,7 @@ pub fn measure_latency(path: PathKind, verb: Verb, payload: u64) -> StreamResult
 /// metrics enabled.
 pub fn measure_breakdown(path: PathKind, verb: Verb, payload: u64) -> MeasuredBreakdown {
     let scenario = Scenario {
-        server: if path == PathKind::Rnic1 {
-            ServerKind::Rnic
-        } else {
-            ServerKind::Bluefield
-        },
+        server: ServerKind::for_path(path),
         ..Scenario::latency().with_metrics()
     };
     let spec = StreamSpec {
@@ -822,11 +803,7 @@ pub fn measure_breakdown(path: PathKind, verb: Verb, payload: u64) -> MeasuredBr
 /// throughput methodology (11 clients for remote paths).
 pub fn measure_throughput(path: PathKind, verb: Verb, payload: u64) -> StreamResult {
     let scenario = Scenario {
-        server: if path == PathKind::Rnic1 {
-            ServerKind::Rnic
-        } else {
-            ServerKind::Bluefield
-        },
+        server: ServerKind::for_path(path),
         ..Scenario::default()
     };
     let n = if path.is_remote() { 11 } else { 1 };
@@ -869,6 +846,7 @@ impl OpenStreamSpec {
     /// An open-loop stream with paper-default posting cores and mode for
     /// the path, targeting a 1 GB region.
     pub fn new(path: PathKind, verb: Verb, payload: u64, open: OpenLoopSpec) -> Self {
+        let poster = PosterKind::for_path(path);
         OpenStreamSpec {
             label: format!("{} {} open", path.label(), verb.label()),
             path,
@@ -876,12 +854,8 @@ impl OpenStreamSpec {
             payload,
             addr_base: 0,
             addr_range: 1 << 30,
-            posting_cores: StreamSpec::default_threads(path),
-            post_mode: if path == PathKind::Snic3S2H {
-                PostMode::Doorbell(32)
-            } else {
-                PostMode::Mmio
-            },
+            posting_cores: poster.default_threads(),
+            post_mode: poster.default_post_mode(),
             open,
             dpa: false,
         }
@@ -963,15 +937,7 @@ pub struct OpenLoopResult {
 /// Panics if a remote-path stream runs with `scenario.n_clients == 0`,
 /// or on an invalid arrival spec.
 pub fn run_open_loop(scenario: &Scenario, streams: &[OpenStreamSpec]) -> OpenLoopResult {
-    let mut fabric = match scenario.server {
-        ServerKind::Bluefield => Fabric::bluefield_testbed(scenario.n_clients),
-        ServerKind::Rnic => Fabric::rnic_testbed(scenario.n_clients),
-        ServerKind::Custom(spec) => Fabric::new(
-            spec,
-            scenario.n_clients,
-            topology::cluster::WireSpec::sb7890(),
-        ),
-    };
+    let mut fabric = scenario.server.fabric(scenario.n_clients);
     fabric.set_faults(scenario.faults.clone());
 
     struct OpenState {

@@ -74,6 +74,38 @@ impl PosterKind {
         }
     }
 
+    /// Requester threads per machine in the paper's methodology: 12-thread
+    /// client processes; path-3 requesters use all 24 host cores or all 8
+    /// SoC cores.
+    pub fn default_threads(self) -> usize {
+        match self {
+            PosterKind::Client => 12,
+            PosterKind::HostCpu => 24,
+            PosterKind::SocCore => 8,
+        }
+    }
+
+    /// Outstanding requests per thread, calibrated to the paper's §3.3
+    /// observation that a single requester processor cannot saturate the
+    /// NIC with small requests (S2H 29 M/s, H2S 51.2 M/s).
+    pub fn default_window(self) -> usize {
+        match self {
+            PosterKind::Client => 8,
+            PosterKind::HostCpu => 4,
+            PosterKind::SocCore => 9,
+        }
+    }
+
+    /// Posting mode under the paper's framework, which applies the known
+    /// optimizations (§2.4): on the SoC that means doorbell batching,
+    /// since Advice #4 makes MMIO posting from the A72 prohibitive.
+    pub fn default_post_mode(self) -> PostMode {
+        match self {
+            PosterKind::SocCore => PostMode::Doorbell(32),
+            PosterKind::Client | PosterKind::HostCpu => PostMode::Mmio,
+        }
+    }
+
     /// The on-server endpoint whose memory holds this poster's WQEs, if
     /// the poster lives on the server machine.
     pub fn endpoint(self) -> Option<Endpoint> {

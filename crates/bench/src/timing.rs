@@ -16,9 +16,7 @@
 //!
 //! Unlike the simulators, which are bit-for-bit deterministic, wall
 //! times are inherently noisy; the harness reports distribution summary
-//! statistics and leaves regression judgement to the reader. The
-//! [`Bench::measure`] entry point additionally captures a per-iteration
-//! *simulated event count* so macro benchmarks can report events/sec.
+//! statistics and leaves regression judgement to the reader.
 
 use std::time::Instant;
 
@@ -63,68 +61,6 @@ fn env_knob(name: &str, default: usize, min: usize) -> usize {
     }
 }
 
-/// One benchmark's timed samples plus its deterministic event count.
-///
-/// `samples` holds per-iteration wall times in nanoseconds, sorted
-/// ascending. `events` is the number of simulated events one iteration
-/// delivers — identical across iterations because the simulations are
-/// bit-for-bit deterministic.
-#[derive(Debug, Clone)]
-pub struct Measurement {
-    /// Benchmark name.
-    pub name: String,
-    /// Sorted per-iteration wall times [ns].
-    pub samples: Vec<u64>,
-    /// Simulated events delivered per iteration.
-    pub events: u64,
-}
-
-impl Measurement {
-    /// Fastest iteration [ns].
-    pub fn min_ns(&self) -> u64 {
-        self.samples.first().copied().unwrap_or(0)
-    }
-
-    /// Mean iteration time [ns].
-    pub fn mean_ns(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().sum::<u64>() as f64 / self.samples.len() as f64
-    }
-
-    /// Percentile (nearest-rank over the sorted samples).
-    pub fn percentile_ns(&self, q: f64) -> u64 {
-        if self.samples.is_empty() {
-            return 0;
-        }
-        self.samples[nearest_rank_index(q, self.samples.len())]
-    }
-
-    /// Simulated events per wall-clock second, over the mean iteration.
-    pub fn events_per_sec(&self) -> f64 {
-        let mean = self.mean_ns();
-        if mean <= 0.0 {
-            return 0.0;
-        }
-        self.events as f64 / (mean / 1e9)
-    }
-
-    /// The one-line human summary the bench binaries print.
-    pub fn summary_line(&self) -> String {
-        format!(
-            "{:<28} min {:>10}  mean {:>10}  p50 {:>10}  p99 {:>10}  {:>8.2} Mev/s  ({} samples)",
-            self.name,
-            fmt_ns(self.min_ns()),
-            fmt_ns(self.mean_ns() as u64),
-            fmt_ns(self.percentile_ns(50.0)),
-            fmt_ns(self.percentile_ns(99.0)),
-            self.events_per_sec() / 1e6,
-            self.samples.len()
-        )
-    }
-}
-
 impl Bench {
     /// A runner taking `default_samples` timed iterations per benchmark
     /// (overridable with `BENCH_SAMPLES`, which must be >= 1) after
@@ -134,11 +70,6 @@ impl Bench {
             samples: env_knob("BENCH_SAMPLES", default_samples.max(1), 1),
             warmup: env_knob("BENCH_WARMUP", 3, 0),
         }
-    }
-
-    /// Configured timed-iteration count.
-    pub fn samples(&self) -> usize {
-        self.samples
     }
 
     /// Times `f`, printing a one-line summary keyed by `name`.
@@ -178,28 +109,6 @@ impl Bench {
             fmt_ns(pct(99.0)),
             ns.len()
         );
-    }
-
-    /// Times `f` — which must return the number of simulated events one
-    /// iteration delivered — and returns the full [`Measurement`] so the
-    /// caller can post-process it as well as print it.
-    pub fn measure(&self, name: &str, mut f: impl FnMut() -> u64) -> Measurement {
-        for _ in 0..self.warmup {
-            black_box(f());
-        }
-        let mut ns: Vec<u64> = Vec::with_capacity(self.samples);
-        let mut events = 0u64;
-        for _ in 0..self.samples {
-            let t0 = Instant::now();
-            events = black_box(f());
-            ns.push(t0.elapsed().as_nanos() as u64);
-        }
-        ns.sort_unstable();
-        Measurement {
-            name: name.to_string(),
-            samples: ns,
-            events,
-        }
     }
 }
 
@@ -265,34 +174,6 @@ mod tests {
     }
 
     #[test]
-    fn measure_reports_events() {
-        let b = Bench {
-            samples: 4,
-            warmup: 1,
-        };
-        let m = b.measure("test/measure", || 1000);
-        assert_eq!(m.samples.len(), 4);
-        assert_eq!(m.events, 1000);
-        assert!(m.events_per_sec() > 0.0);
-        assert!(m.min_ns() <= m.percentile_ns(50.0));
-        assert!(m.percentile_ns(50.0) <= m.percentile_ns(99.0));
-        assert!(m.summary_line().contains("test/measure"));
-    }
-
-    #[test]
-    fn empty_measurement_is_safe() {
-        let m = Measurement {
-            name: "empty".into(),
-            samples: Vec::new(),
-            events: 0,
-        };
-        assert_eq!(m.min_ns(), 0);
-        assert_eq!(m.mean_ns(), 0.0);
-        assert_eq!(m.percentile_ns(99.0), 0);
-        assert_eq!(m.events_per_sec(), 0.0);
-    }
-
-    #[test]
     fn knob_validation_is_uniform() {
         // Samples: must be >= 1 — zero is rejected with a clear message,
         // never silently clamped.
@@ -317,43 +198,38 @@ mod tests {
         assert!(e.contains("not an unsigned integer"), "{e}");
     }
 
-    fn meas(samples: &[u64]) -> Measurement {
-        Measurement {
-            name: "pct".into(),
-            samples: samples.to_vec(),
-            events: 1,
-        }
+    fn pct(samples: &[u64], q: f64) -> u64 {
+        samples[nearest_rank_index(q, samples.len())]
     }
 
     #[test]
     fn percentiles_of_one_sample() {
-        let m = meas(&[42]);
         for q in [0.0, 50.0, 99.0, 100.0] {
-            assert_eq!(m.percentile_ns(q), 42, "q={q}");
+            assert_eq!(pct(&[42], q), 42, "q={q}");
         }
     }
 
     #[test]
     fn percentiles_of_two_samples() {
-        let m = meas(&[10, 20]);
-        assert_eq!(m.percentile_ns(0.0), 10);
+        let m = [10, 20];
+        assert_eq!(pct(&m, 0.0), 10);
         // Nearest-rank median of two samples is the *lower* one — the
         // old round() formula returned the maximum here.
-        assert_eq!(m.percentile_ns(50.0), 10);
-        assert_eq!(m.percentile_ns(99.0), 20);
-        assert_eq!(m.percentile_ns(100.0), 20);
+        assert_eq!(pct(&m, 50.0), 10);
+        assert_eq!(pct(&m, 99.0), 20);
+        assert_eq!(pct(&m, 100.0), 20);
     }
 
     #[test]
     fn percentiles_of_three_samples() {
-        let m = meas(&[10, 20, 30]);
-        assert_eq!(m.percentile_ns(0.0), 10);
-        assert_eq!(m.percentile_ns(50.0), 20, "true median of 3");
-        assert_eq!(m.percentile_ns(99.0), 30);
-        assert_eq!(m.percentile_ns(100.0), 30);
+        let m = [10, 20, 30];
+        assert_eq!(pct(&m, 0.0), 10);
+        assert_eq!(pct(&m, 50.0), 20, "true median of 3");
+        assert_eq!(pct(&m, 99.0), 30);
+        assert_eq!(pct(&m, 100.0), 30);
         // Rank boundary: q covering exactly one sample stays on it.
-        assert_eq!(m.percentile_ns(100.0 / 3.0), 10);
-        assert_eq!(m.percentile_ns(34.0), 20);
+        assert_eq!(pct(&m, 100.0 / 3.0), 10);
+        assert_eq!(pct(&m, 34.0), 20);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use topology::ClusterSpec;
 use crate::fm::{FmHost, FmServer};
 use crate::kv::{KvServer, KvStreamSpec};
 use crate::runtime;
-use crate::shard::Shard;
+use crate::shard::{Shard, ShardCounters};
 use crate::switch::SwitchFabric;
 
 /// One cluster-wide load stream: requester threads on a set of client
@@ -624,81 +624,41 @@ pub fn run_cluster(scenario: &ClusterScenario, streams: &[ClusterStream]) -> Clu
         let id = registry.counter(name);
         registry.add(id, v);
     };
-    set(
-        "requests_posted",
-        shards.iter().map(|s| s.counters().posted).sum(),
-    );
-    set(
-        "requests_completed",
-        results.iter().map(|r| r.completions).sum(),
-    );
-    set(
-        "posts_deferred",
-        shards.iter().map(|s| s.counters().deferred).sum(),
-    );
-    set("rnr_events", shards.iter().map(|s| s.counters().rnr).sum());
-    set(
-        "rc_retransmits",
-        shards.iter().map(|s| s.counters().retransmits).sum(),
-    );
-    set(
-        "rc_retry_exhausted",
-        shards.iter().map(|s| s.counters().retry_exhausted).sum(),
-    );
-    set(
-        "dup_responses",
-        shards.iter().map(|s| s.counters().dup_responses).sum(),
-    );
+    let shard_sum =
+        |f: fn(&ShardCounters) -> u64| -> u64 { shards.iter().map(|s| f(s.counters())).sum() };
+    let stream_sum = |f: fn(&ClusterStreamResult) -> u64| -> u64 { results.iter().map(f).sum() };
+    let admission_sum = |f: fn(&AdmissionQueue) -> u64| -> u64 {
+        (0..streams.len())
+            .filter_map(|si| shards[server_shard].admission(si))
+            .map(f)
+            .sum()
+    };
+    set("requests_posted", shard_sum(|c| c.posted));
+    set("requests_completed", stream_sum(|r| r.completions));
+    set("posts_deferred", shard_sum(|c| c.deferred));
+    set("rnr_events", shard_sum(|c| c.rnr));
+    set("rc_retransmits", shard_sum(|c| c.retransmits));
+    set("rc_retry_exhausted", shard_sum(|c| c.retry_exhausted));
+    set("dup_responses", shard_sum(|c| c.dup_responses));
     set("msgs_dropped", switch.dropped());
-    set(
-        "forced_signals",
-        shards.iter().map(|s| s.counters().forced_signals).sum(),
-    );
+    set("forced_signals", shard_sum(|c| c.forced_signals));
     set("msgs_routed", switch.routed());
     set("epochs", stats.epochs);
     for (i, shard) in shards.iter().enumerate() {
         set(&format!("shard{i:02}_events"), shard.events_delivered());
     }
-    set(
-        "openloop_generated",
-        results.iter().map(|r| r.generated).sum(),
-    );
-    set(
-        "openloop_completed",
-        results.iter().map(|r| r.completed_total).sum(),
-    );
-    set("openloop_dropped", results.iter().map(|r| r.dropped).sum());
-    set(
-        "openloop_inflight",
-        results.iter().map(|r| r.inflight).sum(),
-    );
-    set(
-        "openloop_excess_ns",
-        results.iter().map(|r| r.excess_ns).sum(),
-    );
-    set(
-        "admission_drop_tail",
-        streams
-            .iter()
-            .enumerate()
-            .filter_map(|(si, _)| shards[server_shard].admission(si))
-            .map(|q| q.dropped_tail())
-            .sum(),
-    );
+    set("openloop_generated", stream_sum(|r| r.generated));
+    set("openloop_completed", stream_sum(|r| r.completed_total));
+    set("openloop_dropped", stream_sum(|r| r.dropped));
+    set("openloop_inflight", stream_sum(|r| r.inflight));
+    set("openloop_excess_ns", stream_sum(|r| r.excess_ns));
+    set("admission_drop_tail", admission_sum(|q| q.dropped_tail()));
     set(
         "admission_drop_deadline",
-        streams
-            .iter()
-            .enumerate()
-            .filter_map(|(si, _)| shards[server_shard].admission(si))
-            .map(|q| q.dropped_deadline())
-            .sum(),
+        admission_sum(|q| q.dropped_deadline()),
     );
-    for (si, _) in streams.iter().enumerate() {
-        set(
-            &format!("stream{si:02}_completed"),
-            shards.iter().map(|s| s.agg(si).ops).sum(),
-        );
+    for (si, r) in results.iter().enumerate() {
+        set(&format!("stream{si:02}_completed"), r.completions);
     }
     if shards.iter().any(|s| s.kv().is_some()) {
         let kv_sum =

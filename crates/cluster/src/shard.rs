@@ -684,8 +684,8 @@ impl Shard {
                     Ev::Arrive {
                         kind,
                         bytes,
-                        from: _,
                         drained,
+                        ..
                     },
                     Role::Client(c),
                 ) => c.receive(io, eng, now, kind, bytes, drained),

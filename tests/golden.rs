@@ -25,31 +25,15 @@ use offpath_smartnic::simnet::faults::{DegradedWindow, FaultSpec};
 use offpath_smartnic::simnet::time::Nanos;
 use offpath_smartnic::topology::MachineSpec;
 
-/// One golden case: a scenario, the counters it must drive above zero,
-/// and the digest recorded for it.
-struct Case {
-    name: &'static str,
-    scenario: ClusterScenario,
-    streams: Vec<ClusterStream>,
-    nonzero: &'static [&'static str],
-    digest: u64,
-}
-
-fn case(
-    name: &'static str,
-    scenario: ClusterScenario,
-    streams: Vec<ClusterStream>,
-    nonzero: &'static [&'static str],
-    digest: u64,
-) -> Case {
-    Case {
-        name,
-        scenario,
-        streams,
-        nonzero,
-        digest,
-    }
-}
+/// One golden case: its name, the scenario and streams it runs, the
+/// counters it must drive above zero, and the digest recorded for it.
+type Case = (
+    &'static str,
+    ClusterScenario,
+    Vec<ClusterStream>,
+    &'static [&'static str],
+    u64,
+);
 
 fn rack() -> ClusterScenario {
     let mut sc = ClusterScenario::quick().with_workers(1).with_seed(42);
@@ -98,18 +82,17 @@ fn digest(r: &ClusterResult) -> u64 {
 /// pass prints the whole table.
 fn check(cases: Vec<Case>) {
     let mut failures = Vec::new();
-    for c in cases {
-        let r = run_cluster(&c.scenario, &c.streams);
-        for &name in c.nonzero {
+    for (case, scenario, streams, nonzero, recorded) in cases {
+        let r = run_cluster(&scenario, &streams);
+        for &name in nonzero {
             if r.metrics.counter_value(name).unwrap_or(0) == 0 {
-                failures.push(format!("{}: counter {name} is zero", c.name));
+                failures.push(format!("{case}: counter {name} is zero"));
             }
         }
         let got = digest(&r);
-        if got != c.digest {
+        if got != recorded {
             failures.push(format!(
-                "{}: digest {got:#018x}, recorded {:#018x}",
-                c.name, c.digest
+                "{case}: digest {got:#018x}, recorded {recorded:#018x}"
             ));
         }
     }
@@ -144,14 +127,14 @@ fn fm(placement: FmPlacement) -> ClusterStream {
 fn golden_raw_paths() {
     let open = |s: ClusterStream| s.open_loop(OpenLoopSpec::poisson(2.0e6));
     check(vec![
-        case(
+        (
             "p1 read closed",
             rack(),
             vec![raw(PathKind::Snic1, Verb::Read, 256)],
             &["requests_completed"],
             0x756d_6f4d_685b_7ce1,
         ),
-        case(
+        (
             "p1 write + p2 send closed",
             rack(),
             vec![
@@ -161,14 +144,14 @@ fn golden_raw_paths() {
             &["stream00_completed", "stream01_completed"],
             0x6396_e36d_b891_3fb8,
         ),
-        case(
+        (
             "p2 read closed",
             rack(),
             vec![raw(PathKind::Snic2, Verb::Read, 1024)],
             &["requests_completed"],
             0x1ffb_0740_c280_a723,
         ),
-        case(
+        (
             "p3 h2s + s2h closed",
             rack(),
             vec![
@@ -178,7 +161,7 @@ fn golden_raw_paths() {
             &["stream00_completed", "stream01_completed", "posts_deferred"],
             0x7d31_3310_d0f1_decc,
         ),
-        case(
+        (
             "p1 + p2 open",
             rack(),
             vec![
@@ -188,7 +171,7 @@ fn golden_raw_paths() {
             &["openloop_generated", "openloop_completed"],
             0x861c_0821_4bfe_715e,
         ),
-        case(
+        (
             "p3 h2s + s2h open",
             rack(),
             vec![
@@ -211,14 +194,14 @@ fn golden_faults_and_admission() {
         ]
     };
     check(vec![
-        case(
+        (
             "wire loss + pcie corrupt + window",
             rack().with_faults(pcie_faults().with_wire_loss(0.005)),
             mixed(),
             &["rc_retransmits", "msgs_dropped"],
             0xacad_33fc_dda5_5e5a,
         ),
-        case(
+        (
             "retry exhaustion",
             rack()
                 .with_faults(
@@ -232,7 +215,7 @@ fn golden_faults_and_admission() {
             &["rc_retry_exhausted", "dup_responses", "msgs_dropped"],
             0x61bc_abb3_e471_13d1,
         ),
-        case(
+        (
             "admission drop-tail",
             rack(),
             vec![
@@ -244,7 +227,7 @@ fn golden_faults_and_admission() {
             &["admission_drop_tail", "openloop_dropped"],
             0xa4c4_2be5_fc69_2667,
         ),
-        case(
+        (
             "admission drop-deadline",
             rack(),
             vec![raw(PathKind::Snic1, Verb::Write, 512).open_loop(
@@ -267,77 +250,77 @@ fn golden_kv() {
     let dpa = KvPlacement::Static(Design::DpaHandler);
     let online = KvPlacement::Online(advisor_policy);
     check(vec![
-        case(
+        (
             "kv host closed",
             rack(),
             vec![kv(host, 4000)],
             &["kv_gets", "kv_puts"],
             0xc77e_9576_d24b_e8a7,
         ),
-        case(
+        (
             "kv host open",
             rack(),
             vec![open(kv(host, 4000))],
             &["kv_gets"],
             0xa854_b9c8_1be2_c186,
         ),
-        case(
+        (
             "kv host pcie",
             faulty(),
             vec![kv(host, 4000)],
             &["kv_gets"],
             0x1ac3_b3c4_43e5_13d1,
         ),
-        case(
+        (
             "kv soc closed",
             rack(),
             vec![kv(soc, 4000)],
             &["kv_gets"],
             0x0936_bb7f_9c2d_6bc5,
         ),
-        case(
+        (
             "kv soc open",
             rack(),
             vec![open(kv(soc, 4000))],
             &["kv_gets"],
             0x8ad6_7e71_e28c_6c69,
         ),
-        case(
+        (
             "kv soc pcie",
             faulty(),
             vec![kv(soc, 4000)],
             &["kv_path3_retries", "rc_retransmits"],
             0x5d05_361c_cd17_dfe6,
         ),
-        case(
+        (
             "kv one-sided closed",
             rack(),
             vec![kv(one_sided, 4000)],
             &["kv_probe_trips"],
             0xded5_5192_92c9_3a54,
         ),
-        case(
+        (
             "kv one-sided open",
             rack(),
             vec![open(kv(one_sided, 4000))],
             &["kv_probe_trips"],
             0xf730_0d3b_3c09_afb6,
         ),
-        case(
+        (
             "kv one-sided pcie",
             faulty(),
             vec![kv(one_sided, 4000)],
             &["kv_probe_trips"],
             0xbee0_7933_af0b_e30f,
         ),
-        case(
+        (
             "kv dpa closed",
             dpa_rack(),
             vec![kv(dpa, 20_000)],
             &["kv_dpa_gets", "dpa_spills"],
             0xd835_e25e_567e_1ea5,
         ),
-        case(
+        (
             "kv dpa open",
             dpa_rack(),
             vec![open(kv(dpa, 500))],
@@ -346,28 +329,28 @@ fn golden_kv() {
         ),
         // Same digest as "kv dpa closed": gets served on the DPA plane
         // never cross PCIe1, so PCIe faults cannot reach them.
-        case(
+        (
             "kv dpa pcie",
             dpa_rack().with_faults(pcie_faults()),
             vec![kv(dpa, 20_000)],
             &["kv_dpa_gets"],
             0xd835_e25e_567e_1ea5,
         ),
-        case(
+        (
             "kv online closed",
             rack(),
             vec![kv(online, 4000)],
             &["kv_decisions"],
             0x44fa_018a_f082_fedc,
         ),
-        case(
+        (
             "kv online open",
             rack(),
             vec![open(kv(online, 4000))],
             &["kv_decisions", "kv_design_changes"],
             0x4275_b0b9_f87f_15f5,
         ),
-        case(
+        (
             "kv online pcie",
             faulty(),
             vec![open(kv(online, 4000))],
@@ -383,42 +366,42 @@ fn golden_farmem() {
     let local = FmPlacement::LocalSoc;
     let remote = FmPlacement::RemoteSoc;
     check(vec![
-        case(
+        (
             "fm local closed",
             rack(),
             vec![fm(local)],
             &["fm_promotes", "fm_host_hits", "fm_writebacks"],
             0xbe8c_5c84_1f68_1115,
         ),
-        case(
+        (
             "fm local open",
             rack(),
             vec![open(fm(local))],
             &["fm_promotes", "fm_demotions"],
             0x5cfc_f110_27fe_59a9,
         ),
-        case(
+        (
             "fm local pcie",
             rack().with_faults(pcie_faults()),
             vec![fm(local)],
             &["fm_path3_retries", "rc_retransmits"],
             0x485d_643d_5eb8_a854,
         ),
-        case(
+        (
             "fm remote closed",
             rack(),
             vec![fm(remote)],
             &["fm_pool_gets", "fm_put_acks"],
             0x9c79_1c64_795a_8379,
         ),
-        case(
+        (
             "fm remote open",
             rack(),
             vec![open(fm(remote))],
             &["fm_pool_gets", "fm_demotions"],
             0x9cb9_a813_7d8f_cf4e,
         ),
-        case(
+        (
             "fm remote wire loss",
             rack().with_faults(FaultSpec::none().with_seed(5).with_wire_loss(0.01)),
             vec![open(fm(remote))],
@@ -436,21 +419,21 @@ fn golden_dpa() {
             .with_dpa()
     };
     check(vec![
-        case(
+        (
             "dpa send fits scratch",
             dpa_rack(),
             vec![send(64 << 10)],
             &["dpa_scratch_hits"],
             0x1cc9_b949_cf99_f6b7,
         ),
-        case(
+        (
             "dpa send spills",
             dpa_rack(),
             vec![send(8 << 20)],
             &["dpa_spills"],
             0xa7c2_f0c0_420d_d3d9,
         ),
-        case(
+        (
             "dpa send open + wire loss",
             dpa_rack().with_faults(FaultSpec::none().with_seed(11).with_wire_loss(0.01)),
             vec![send(8 << 20).open_loop(OpenLoopSpec::poisson(4.0e6))],

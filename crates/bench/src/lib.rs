@@ -1,15 +1,10 @@
-//! `snic-bench` — benchmark harness regenerating every table and figure.
+//! `snic-bench` — the figure runner regenerating every table and figure.
 //!
 //! The `run_all` binary prints every regenerated series as an aligned
 //! table and optionally as CSV; `--only <name>` selects one artifact.
-//! The in-tree [`timing`] benches (`benches/`) cover the simulator
-//! primitives, one point of each figure, and the ablations flagged in
-//! DESIGN.md §7.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod timing;
 
 use std::fs;
 use std::path::Path;

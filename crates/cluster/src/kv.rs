@@ -199,9 +199,8 @@ pub const KV_HOST_PROBE: Nanos = Nanos::new(25);
 pub const KV_SOC_PROBE: Nanos = Nanos::new(60);
 
 /// The default online policy: the advisor distilled from the paper's
-/// guidelines. See `snic_core::advisor::OnlineAdvisor` for the
-/// rationale; this lives here so the cluster crate has a self-contained
-/// default, and `snic-core` re-exports it as the advisor's decision.
+/// guidelines, and the only entry point to it
+/// (`KvPlacement::Online(advisor_policy)`).
 ///
 /// Decision order matters:
 /// 1. PCIe fault pressure poisons path 3 (double PCIe1 exposure), so

@@ -50,6 +50,8 @@ use crate::switch::SwitchFabric;
 pub(crate) struct RunStats {
     /// Non-empty epochs executed.
     pub epochs: u64,
+    /// Worker threads the driver ran with.
+    pub workers: usize,
 }
 
 type Pending = BTreeMap<(u64, usize, u64), NetMsg>;
@@ -132,9 +134,10 @@ fn merge(
     routed.clear();
 }
 
-/// Runs the cluster until no shard has an event at or before `horizon`.
-/// `workers <= 1` uses a sequential fast path with the *same* epoch
-/// schedule, so results match the parallel path bit for bit.
+/// Runs the cluster until no shard has an event at or before `horizon`
+/// on at most `workers` threads (clamped to the shard count). Every
+/// epoch has the same schedule whatever the count; at one worker the
+/// driver runs every epoch inline and spawns no thread.
 pub(crate) fn drive(
     cells: &[Mutex<Shard>],
     switch: &mut SwitchFabric,
@@ -158,57 +161,16 @@ pub(crate) fn drive(
     let mut outbox: Vec<NetMsg> = Vec::new();
     let mut routed: Vec<(usize, Nanos, Nanos, NetMsg)> = Vec::new();
 
-    // The active set for the epoch ending at `end`: shards whose next
-    // event lies inside it. Depends only on shard state, never on the
-    // worker assignment.
-    let collect_active = |active: &mut Vec<usize>, deadline: u64| {
-        active.clear();
-        for (i, slot) in cache.iter().enumerate() {
-            if slot.load(Ordering::Relaxed) <= deadline {
-                active.push(i);
-            }
-        }
-    };
-    let run_one = |i: usize, deadline: Nanos| {
-        let mut shard = cells[i].lock().unwrap();
-        shard.run_until(deadline);
-        refresh_cache(&cache[i], &shard);
-    };
-
-    if workers <= 1 {
-        while let Some(t) = next_time(&cache, &pending) {
-            if t > horizon {
-                break;
-            }
-            let end = epoch_end_of(t);
-            let deadline = Nanos::new(end.as_nanos() - 1);
-            collect_active(&mut active, deadline.as_nanos());
-            for &i in &active {
-                run_one(i, deadline);
-            }
-            merge(
-                cells,
-                &cache,
-                &active,
-                switch,
-                &mut pending,
-                &mut outbox,
-                &mut routed,
-                end,
-            );
-            epochs += 1;
-        }
-        return RunStats { epochs };
-    }
-
     // Persistent workers; two barrier waits per epoch (start + done).
     // `end_ns` broadcasts the epoch boundary; `u64::MAX` means shut down.
     // Epochs with at most one active shard never reach the barrier: the
-    // driver runs them inline while the workers stay parked.
-    let barrier = Barrier::new(workers + 1);
+    // driver runs them inline while the workers stay parked. At one
+    // worker nothing is spawned and every epoch runs inline.
+    let spawned = if workers > 1 { workers } else { 0 };
+    let barrier = Barrier::new(spawned + 1);
     let end_ns = AtomicU64::new(0);
     std::thread::scope(|scope| {
-        for w in 0..workers {
+        for w in 0..spawned {
             let barrier = &barrier;
             let end_ns = &end_ns;
             let cache = &cache;
@@ -241,15 +203,24 @@ pub(crate) fn drive(
             }
             let end = epoch_end_of(t);
             let deadline = Nanos::new(end.as_nanos() - 1);
-            collect_active(&mut active, deadline.as_nanos());
-            if active.len() <= 1 {
-                for &i in &active {
-                    run_one(i, deadline);
-                }
-            } else {
+            // The active set: shards whose next event lies inside the
+            // epoch. Depends only on shard state, never on the worker
+            // assignment.
+            active.clear();
+            active.extend(
+                (0..cells.len())
+                    .filter(|&i| cache[i].load(Ordering::Relaxed) <= deadline.as_nanos()),
+            );
+            if spawned > 0 && active.len() > 1 {
                 end_ns.store(end.as_nanos(), Ordering::SeqCst);
                 barrier.wait(); // release workers into the epoch
                 barrier.wait(); // wait for all shards to reach the boundary
+            } else {
+                for &i in &active {
+                    let mut shard = cells[i].lock().unwrap();
+                    shard.run_until(deadline);
+                    refresh_cache(&cache[i], &shard);
+                }
             }
             merge(
                 cells,
@@ -263,8 +234,10 @@ pub(crate) fn drive(
             );
             epochs += 1;
         }
-        end_ns.store(u64::MAX, Ordering::SeqCst);
-        barrier.wait();
+        if spawned > 0 {
+            end_ns.store(u64::MAX, Ordering::SeqCst);
+            barrier.wait();
+        }
     });
-    RunStats { epochs }
+    RunStats { epochs, workers }
 }

@@ -309,7 +309,8 @@ pub struct ClusterResult {
     pub epochs: u64,
     /// Messages routed through the switch.
     pub messages: u64,
-    /// Worker threads actually used.
+    /// Worker threads actually used: the requested count, clamped to
+    /// the number of shards.
     pub workers: usize,
     /// Simulator events delivered across all shards — the denominator
     /// for events/sec macro benchmarks.
@@ -715,7 +716,7 @@ pub fn run_cluster(scenario: &ClusterScenario, streams: &[ClusterStream]) -> Clu
         metrics: registry,
         epochs: stats.epochs,
         messages: switch.routed(),
-        workers,
+        workers: stats.workers,
         events: shards.iter().map(|s| s.events_delivered()).sum(),
     }
 }
@@ -745,6 +746,16 @@ mod tests {
 
     fn cv(r: &ClusterResult, name: &str) -> u64 {
         r.metrics.counter_value(name).unwrap_or(0)
+    }
+
+    #[test]
+    fn workers_reports_the_count_the_runtime_used() {
+        // Three clients and three servers are six shards: workers past
+        // the sixth would have nothing to run.
+        let mut sc = tiny().with_workers(8);
+        sc.duration = Nanos::from_micros(150);
+        let st = ClusterStream::new(PathKind::Snic1, Verb::Read, 64, vec![0, 1, 2]);
+        assert_eq!(run_cluster(&sc, &[st]).workers, 6);
     }
 
     #[test]

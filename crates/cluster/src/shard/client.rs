@@ -56,7 +56,7 @@ impl Client {
         kind: MsgKind,
     ) -> Nanos {
         let nic_seen = at + self.machine.mmio_transit();
-        let depart = self.machine.issue_with_wire(nic_seen, bytes, bytes);
+        let depart = self.machine.issue(nic_seen, bytes, bytes);
         out.push(dst, depart, bytes, kind);
         depart
     }

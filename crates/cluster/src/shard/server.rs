@@ -352,7 +352,8 @@ impl Server {
     }
 
     /// Serves a raw verb: the responder side of `Fabric::execute_remote`,
-    /// driven by a real arrival event. An open-loop request passes the
+    /// driven by a real arrival event, through the same
+    /// [`ServerMachine::serve_verb`] step. An open-loop request passes the
     /// bounded admission queue before touching any responder resource
     /// past the RX wire; a rejection answers with a header-only NACK.
     fn serve_verb(
@@ -404,19 +405,10 @@ impl Server {
                 assert_eq!(verb, Verb::Send, "DPA streams are two-sided SENDs");
                 srv.dpa_serve(pipeline_out(&pu), resident, payload).done
             } else {
-                let op = match verb {
-                    Verb::Read => MemOp::Read,
-                    Verb::Write | Verb::Send => MemOp::Write,
-                };
-                let leg = srv.dma(pipeline_out(&pu), endpoint, op, addr, payload, true);
-                if verb == Verb::Send {
-                    if !self.recvq.consume() {
-                        io.counters.rnr += 1;
-                    }
-                    srv.handle_message(leg.data_ready.max(rx.ready), endpoint)
-                } else {
-                    leg.data_ready
+                if verb == Verb::Send && !self.recvq.consume() {
+                    io.counters.rnr += 1;
                 }
+                srv.serve_verb(&pu, rx.ready, verb, endpoint, addr, payload)
             };
             let inbound = if verb == Verb::Read { payload } else { 0 };
             let resp = MsgKind::Response {

@@ -18,8 +18,6 @@
 use nicsim::{Endpoint, PathKind, Verb};
 use rdma_sim::doorbell::{PostCostModel, PosterKind};
 use simnet::time::Bandwidth;
-use snic_cluster::{KvPolicy, KvWindowObs};
-use snic_kvstore::Design;
 use topology::{MachineSpec, SmartNicSpec};
 
 use crate::model::BottleneckModel;
@@ -329,118 +327,6 @@ impl OffloadAdvisor {
     }
 }
 
-/// The *online* counterpart of [`OffloadAdvisor`]: instead of analysing a
-/// static workload description it consumes windowed runtime observations
-/// ([`KvWindowObs`]) from the cluster's KV service and re-decides the index
-/// placement at every epoch boundary.
-///
-/// The decision rules are the paper's advices applied at runtime:
-///
-/// * path-③ retries or a PCIe fault window → get off path ③ (Advice #3):
-///   one-sided under load, host RPC otherwise;
-/// * hot-key skew → keep the index on the host: the SoC's DDIO-less
-///   single-channel DRAM serializes a hot bucket's bank (Advice #1) while
-///   the host's server-class memory absorbs the skew;
-/// * host CPU saturation without skew → offload the index to the SoC,
-///   which has 4x the cores and doorbell-batched posting (Advice #4);
-/// * otherwise host RPC — one network trip, no SmartNIC caveats.
-///
-/// On BlueField-3 deployments that expose a DPA plane, two branches are
-/// amended (see `snic_cluster::advisor_policy`): fault pressure under
-/// load flips to the DPA (its serving loop never crosses PCIe1), and the
-/// overload branches prefer the DPA only while the shard's resident
-/// state fits its scratch — a spilling DPA core is slower than an A72.
-///
-/// The decision function itself lives in `snic_cluster::advisor_policy` so
-/// the shard runtime can call it without a dependency cycle; this type is
-/// the user-facing wrapper that also keeps a decision log and renders
-/// [`Finding`]-style explanations.
-#[derive(Debug, Default)]
-pub struct OnlineAdvisor {
-    log: Vec<(KvWindowObs, Design)>,
-}
-
-impl OnlineAdvisor {
-    /// A fresh advisor with an empty decision log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The raw decision function, suitable for
-    /// `KvPlacement::Online(OnlineAdvisor::policy())`.
-    pub fn policy() -> KvPolicy {
-        snic_cluster::advisor_policy
-    }
-
-    /// Decides a placement for the observed window and records it.
-    pub fn decide(&mut self, obs: &KvWindowObs) -> Design {
-        let d = snic_cluster::advisor_policy(obs);
-        self.log.push((*obs, d));
-        d
-    }
-
-    /// All `(observation, decision)` pairs seen so far, oldest first.
-    pub fn log(&self) -> &[(KvWindowObs, Design)] {
-        &self.log
-    }
-
-    /// Number of decisions that differed from the previous one.
-    pub fn changes(&self) -> usize {
-        self.log.windows(2).filter(|w| w[0].1 != w[1].1).count()
-    }
-
-    /// Explains a decision as a [`Finding`], tying it back to the advice
-    /// that drove it.
-    pub fn explain(obs: &KvWindowObs) -> Finding {
-        let d = snic_cluster::advisor_policy(obs);
-        let loaded = obs.offered_per_sec > 0.85 * obs.host_capacity_per_sec;
-        if obs.pcie_faulty || obs.path3_retries > 0 {
-            let how = if d == Design::DpaHandler {
-                "serve on the PCIe-free DPA plane"
-            } else {
-                "move the value path off path 3"
-            };
-            return Finding {
-                advice: 3,
-                severity: Severity::Severe,
-                message: format!(
-                    "PCIe fault window ({} path-3 retries): {how} -> {d:?}",
-                    obs.path3_retries
-                ),
-            };
-        }
-        if loaded && obs.top_key_share > 0.15 {
-            return Finding {
-                advice: 1,
-                severity: Severity::Degraded,
-                message: format!(
-                    "hot key holds {:.0}% of {} ops: SoC banks would serialize, \
-                     keep the index on the host's DDIO side -> {d:?}",
-                    obs.top_key_share * 100.0,
-                    obs.ops
-                ),
-            };
-        }
-        if loaded {
-            return Finding {
-                advice: 4,
-                severity: Severity::Degraded,
-                message: format!(
-                    "offered {:.2} Mops vs host capacity {:.2} Mops: offload \
-                     the index -> {d:?}",
-                    obs.offered_per_sec / 1e6,
-                    obs.host_capacity_per_sec / 1e6
-                ),
-            };
-        }
-        Finding {
-            advice: 4,
-            severity: Severity::Ok,
-            message: format!("host CPU keeps up, single-trip RPC -> {d:?}"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -574,69 +460,5 @@ mod tests {
         // A benign workload is clean.
         let ok = desc(PathKind::Snic1, Verb::Write, 256, 1 << 30);
         assert!(a.is_clean(&ok));
-    }
-
-    fn obs(offered: f64, top_share: f64, retries: u64, faulty: bool) -> KvWindowObs {
-        KvWindowObs {
-            window: simnet::time::Nanos::from_micros(50),
-            ops: 1000,
-            reads: 950,
-            updates: 50,
-            probe_sum: 1100,
-            top_key_share: top_share,
-            value_size: 256,
-            offered_per_sec: offered,
-            host_capacity_per_sec: 6.0e6,
-            soc_capacity_per_sec: 20.0e6,
-            path3_retries: retries,
-            pcie_faulty: faulty,
-            dpa_capacity_per_sec: 0.0,
-            dpa_resident_fits: false,
-            current: Design::HostRpc,
-        }
-    }
-
-    #[test]
-    fn online_advisor_logs_and_explains() {
-        let mut a = OnlineAdvisor::new();
-        // Calm -> host RPC, loaded -> SoC, loaded+hot -> back to the
-        // host (skew-proof memory), faulty+loaded -> one-sided (off
-        // path 3).
-        assert_eq!(a.decide(&obs(1.0e6, 0.01, 0, false)), Design::HostRpc);
-        assert_eq!(a.decide(&obs(8.0e6, 0.01, 0, false)), Design::SocIndex);
-        assert_eq!(a.decide(&obs(8.0e6, 0.4, 0, false)), Design::HostRpc);
-        assert_eq!(a.decide(&obs(8.0e6, 0.01, 3, true)), Design::OneSidedRnic);
-        assert_eq!(a.log().len(), 4);
-        assert_eq!(a.changes(), 3);
-        // Explanations name the advice that drove each decision.
-        assert_eq!(OnlineAdvisor::explain(&obs(8.0e6, 0.01, 3, true)).advice, 3);
-        assert_eq!(OnlineAdvisor::explain(&obs(8.0e6, 0.4, 0, false)).advice, 1);
-        let calm = OnlineAdvisor::explain(&obs(1.0e6, 0.01, 0, false));
-        assert_eq!(calm.severity, Severity::Ok);
-        // The exposed policy is the cluster runtime's decision function.
-        let p = OnlineAdvisor::policy();
-        assert_eq!(p(&obs(8.0e6, 0.01, 0, false)), Design::SocIndex);
-    }
-
-    #[test]
-    fn online_advisor_dpa_flip_and_explanation() {
-        let dpa_obs = |fits: bool| KvWindowObs {
-            dpa_capacity_per_sec: 12.0e6,
-            dpa_resident_fits: fits,
-            ..obs(8.0e6, 0.01, 3, true)
-        };
-        // With a DPA plane, the fault-under-load advice flips from
-        // one-sided READs to the DPA — and the explanation says so.
-        let mut a = OnlineAdvisor::new();
-        assert_eq!(a.decide(&dpa_obs(false)), Design::DpaHandler);
-        let f = OnlineAdvisor::explain(&dpa_obs(false));
-        assert_eq!(f.advice, 3);
-        assert!(f.message.contains("DPA"), "{}", f.message);
-        // Fault-free overload with spilled state keeps the SoC advice.
-        let spilled = KvWindowObs {
-            dpa_capacity_per_sec: 12.0e6,
-            ..obs(8.0e6, 0.01, 0, false)
-        };
-        assert_eq!(snic_cluster::advisor_policy(&spilled), Design::SocIndex);
     }
 }

@@ -14,11 +14,9 @@ use nicsim::{Completion, Fabric, PathKind, RequestDesc, Verb};
 use pcie_model::counters::{LinkId, PcieCounters};
 use rdma_sim::doorbell::{PostCostModel, PostMode, PosterKind};
 use rdma_sim::transport::RcParams;
-use simnet::arrivals::{user_home_addr, Admission, AdmissionQueue, ArrivalGen, OpenLoopSpec};
 use simnet::engine::{Engine, Step};
 use simnet::faults::{drive_attempts, fault_key, FaultSpec};
 use simnet::metrics::{CounterId, Hop, HopBreakdown, Registry};
-use simnet::resource::MultiServer;
 use simnet::rng::SimRng;
 use simnet::stats::{Histogram, LatencySummary, RateMeter};
 use simnet::time::{Bandwidth, Nanos, Rate};
@@ -811,261 +809,6 @@ pub fn measure_throughput(path: PathKind, verb: Verb, payload: u64) -> StreamRes
     run_scenario(&scenario, &[spec]).streams.remove(0)
 }
 
-/// One open-loop load stream on the single-machine harness: ops arrive
-/// on the [`OpenLoopSpec`]'s intended-arrival schedule regardless of
-/// completions, and latency is measured from the intended arrival — the
-/// coordinated-omission-free methodology the closed loop cannot provide.
-#[derive(Debug, Clone)]
-pub struct OpenStreamSpec {
-    /// Label used in reports.
-    pub label: String,
-    /// Communication path.
-    pub path: PathKind,
-    /// Verb.
-    pub verb: Verb,
-    /// Payload bytes.
-    pub payload: u64,
-    /// Base of the target address region.
-    pub addr_base: u64,
-    /// Size of the target address region (per-user home slots within).
-    pub addr_range: u64,
-    /// Posting cores turning intended arrivals into issues; their
-    /// backlog is the excess delay a closed loop would hide.
-    pub posting_cores: usize,
-    /// Posting mode (sets the per-issue CPU cost).
-    pub post_mode: PostMode,
-    /// Arrival process, user aggregation and admission bound.
-    pub open: OpenLoopSpec,
-    /// When true, SENDs terminate at the server's DPA plane with
-    /// `addr_range` bytes of handler working state (see
-    /// [`StreamSpec::with_dpa`]).
-    pub dpa: bool,
-}
-
-impl OpenStreamSpec {
-    /// An open-loop stream with paper-default posting cores and mode for
-    /// the path, targeting a 1 GB region.
-    pub fn new(path: PathKind, verb: Verb, payload: u64, open: OpenLoopSpec) -> Self {
-        let poster = PosterKind::for_path(path);
-        OpenStreamSpec {
-            label: format!("{} {} open", path.label(), verb.label()),
-            path,
-            verb,
-            payload,
-            addr_base: 0,
-            addr_range: 1 << 30,
-            posting_cores: poster.default_threads(),
-            post_mode: poster.default_post_mode(),
-            open,
-            dpa: false,
-        }
-    }
-
-    /// Routes this stream's SENDs to the server's DPA plane.
-    pub fn with_dpa(mut self) -> Self {
-        self.dpa = true;
-        self
-    }
-
-    /// Overrides the label.
-    pub fn with_label(mut self, label: &str) -> Self {
-        self.label = label.to_string();
-        self
-    }
-
-    /// Overrides the posting-core count.
-    pub fn with_posting_cores(mut self, cores: usize) -> Self {
-        self.posting_cores = cores.max(1);
-        self
-    }
-}
-
-/// Per-stream open-loop outcome. The conservation invariant
-/// `generated == completed_total + dropped_tail + dropped_deadline +
-/// inflight` holds exactly at the run's horizon.
-#[derive(Debug, Clone)]
-pub struct OpenStreamResult {
-    /// The stream's label.
-    pub label: String,
-    /// Configured offered load.
-    pub offered: Rate,
-    /// CO-free latency distribution (measured from intended arrival)
-    /// over the measurement window.
-    pub latency: LatencySummary,
-    /// Completed-operations rate over the measurement window.
-    pub ops: Rate,
-    /// Payload goodput over the measurement window.
-    pub goodput: Bandwidth,
-    /// Intended arrivals generated over the whole run.
-    pub generated: u64,
-    /// Ops completed by the horizon (any instant).
-    pub completed_total: u64,
-    /// Ops rejected because the admission queue was at capacity.
-    pub dropped_tail: u64,
-    /// Ops rejected because the projected wait exceeded the deadline.
-    pub dropped_deadline: u64,
-    /// Ops admitted but still executing when the horizon was reached.
-    pub inflight: u64,
-    /// Mean slip of actual issue past intended arrival.
-    pub excess_mean: Nanos,
-}
-
-impl OpenStreamResult {
-    /// Total rejected ops.
-    pub fn dropped(&self) -> u64 {
-        self.dropped_tail + self.dropped_deadline
-    }
-}
-
-/// Whole-run open-loop outcome.
-#[derive(Debug, Clone)]
-pub struct OpenLoopResult {
-    /// One result per stream, in input order.
-    pub streams: Vec<OpenStreamResult>,
-    /// Measurement window length.
-    pub window: Nanos,
-    /// Simulator events delivered over the whole run.
-    pub events: u64,
-}
-
-/// Runs open-loop `streams` under `scenario` on a single responder
-/// machine (the open-loop counterpart of [`run_scenario`]; rack-scale
-/// open loops live in `snic-cluster`).
-///
-/// # Panics
-///
-/// Panics if a remote-path stream runs with `scenario.n_clients == 0`,
-/// or on an invalid arrival spec.
-pub fn run_open_loop(scenario: &Scenario, streams: &[OpenStreamSpec]) -> OpenLoopResult {
-    let mut fabric = scenario.server.fabric(scenario.n_clients);
-    fabric.set_faults(scenario.faults.clone());
-
-    struct OpenState {
-        spec: OpenStreamSpec,
-        gen: ArrivalGen,
-        posters: MultiServer,
-        queue: AdmissionQueue,
-        cpu_cost: Nanos,
-        hist: Histogram,
-        win_ops: u64,
-        win_bytes: u64,
-        generated: u64,
-        completed_total: u64,
-        inflight: u64,
-        excess_ns: u64,
-    }
-
-    let mut root_rng = SimRng::seed(scenario.seed);
-    let horizon = scenario.duration;
-    let warmup = scenario.warmup;
-    let mut eng: Engine<usize> = Engine::new();
-    // Events carry the stream index; the user of the *currently
-    // scheduled* arrival rides alongside in `next_users` (one pending
-    // arrival per stream, so a single slot suffices).
-    let mut next_users: Vec<u64> = Vec::with_capacity(streams.len());
-    let mut states: Vec<OpenState> = streams
-        .iter()
-        .enumerate()
-        .map(|(si, spec)| {
-            let poster = PosterKind::for_path(spec.path);
-            let machine = match poster {
-                PosterKind::Client => {
-                    assert!(
-                        scenario.n_clients > 0,
-                        "open stream '{}' needs a client machine",
-                        spec.label
-                    );
-                    fabric.clients[0].spec()
-                }
-                _ => fabric.server.spec(),
-            };
-            let cpu_cost = PostCostModel::new(machine, poster).cpu_time_per_request(spec.post_mode);
-            let mut gen = ArrivalGen::new(
-                spec.open.process.clone(),
-                spec.open.users,
-                root_rng.fork(si as u64),
-            );
-            let first = gen.next_arrival();
-            eng.schedule(first.at, si).expect("first arrival at t >= 0");
-            next_users.push(first.user);
-            OpenState {
-                gen,
-                posters: MultiServer::new(spec.posting_cores.max(1)),
-                queue: AdmissionQueue::new(spec.open.queue_cap, spec.open.policy),
-                cpu_cost,
-                hist: Histogram::new(),
-                win_ops: 0,
-                win_bytes: 0,
-                generated: 0,
-                completed_total: 0,
-                inflight: 0,
-                excess_ns: 0,
-                spec: spec.clone(),
-            }
-        })
-        .collect();
-
-    eng.run_until(horizon, |eng, now, si| {
-        let st = &mut states[si];
-        let user = next_users[si];
-        let next = st.gen.next_arrival();
-        next_users[si] = next.user;
-        eng.schedule(next.at, si)
-            .expect("arrival chain advances strictly");
-        st.generated += 1;
-        let issue = st.posters.reserve(now, st.cpu_cost);
-        st.excess_ns += issue.start.saturating_sub(now).as_nanos();
-        // Rejections need no handling here: the queue's own counters
-        // account the drop.
-        if st.queue.offer(issue.start) == Admission::Admit {
-            let addr = user_home_addr(user, st.spec.addr_base, st.spec.addr_range, 64);
-            fabric.apply_fault_windows(issue.start);
-            let mut req = RequestDesc::new(st.spec.verb, st.spec.path, st.spec.payload, addr, 0);
-            if st.spec.dpa {
-                req = req.with_dpa(st.spec.addr_range);
-            }
-            let c = fabric.execute(issue.start, req);
-            st.queue.commit(c.nic_start);
-            if c.completed <= horizon {
-                st.completed_total += 1;
-                if c.completed > warmup {
-                    // CO-free: latency from the intended arrival.
-                    st.hist.record(c.completed.saturating_sub(now));
-                    st.win_ops += 1;
-                    st.win_bytes += st.spec.payload;
-                }
-            } else {
-                // Admitted but still executing at the horizon.
-                st.inflight += 1;
-            }
-        }
-        Step::Continue
-    });
-
-    let window = scenario.duration - scenario.warmup;
-    let wsecs = window.as_secs_f64();
-    OpenLoopResult {
-        streams: states
-            .iter()
-            .map(|st| OpenStreamResult {
-                label: st.spec.label.clone(),
-                offered: Rate::per_sec(st.spec.open.offered_per_sec()),
-                latency: st.hist.summary(),
-                ops: Rate::per_sec(st.win_ops as f64 / wsecs),
-                goodput: Bandwidth::bytes_per_sec(st.win_bytes as f64 / wsecs),
-                generated: st.generated,
-                completed_total: st.completed_total,
-                dropped_tail: st.queue.dropped_tail(),
-                dropped_deadline: st.queue.dropped_deadline(),
-                inflight: st.inflight,
-                excess_mean: Nanos::new(st.excess_ns.checked_div(st.generated).unwrap_or(0)),
-            })
-            .collect(),
-        window,
-        events: eng.delivered(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1140,52 +883,5 @@ mod tests {
     fn zero_payload_supported() {
         let r = measure_throughput(PathKind::Snic1, Verb::Read, 0);
         assert!(r.ops.as_mops() > 50.0, "0B rate {}", r.ops);
-    }
-
-    #[test]
-    fn open_loop_conserves_ops() {
-        let spec = OpenStreamSpec::new(
-            PathKind::Snic1,
-            Verb::Write,
-            256,
-            OpenLoopSpec::poisson(2.0e6),
-        );
-        let r = run_open_loop(&Scenario::default(), &[spec]);
-        let s = &r.streams[0];
-        assert!(s.generated > 1000, "{}", s.generated);
-        assert!(s.latency.count > 0);
-        assert_eq!(s.generated, s.completed_total + s.dropped() + s.inflight);
-        assert!((s.offered.as_per_sec() - 2.0e6).abs() < 1.0);
-    }
-
-    #[test]
-    fn open_loop_is_deterministic() {
-        let spec = || {
-            OpenStreamSpec::new(
-                PathKind::Snic2,
-                Verb::Read,
-                128,
-                OpenLoopSpec::poisson(1.0e6),
-            )
-        };
-        let a = run_open_loop(&Scenario::default(), &[spec()]);
-        let b = run_open_loop(&Scenario::default(), &[spec()]);
-        assert_eq!(a.streams[0].latency.p99, b.streams[0].latency.p99);
-        assert_eq!(a.streams[0].generated, b.streams[0].generated);
-        assert_eq!(a.events, b.events);
-    }
-
-    #[test]
-    fn open_loop_overload_sheds_into_drops() {
-        let spec = OpenStreamSpec::new(
-            PathKind::Snic1,
-            Verb::Write,
-            512,
-            OpenLoopSpec::poisson(80.0e6).with_queue_cap(8),
-        );
-        let r = run_open_loop(&Scenario::default(), &[spec]);
-        let s = &r.streams[0];
-        assert!(s.dropped() > 0, "queue cap 8 at 80 M/s must drop");
-        assert_eq!(s.generated, s.completed_total + s.dropped() + s.inflight);
     }
 }

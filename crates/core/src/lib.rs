@@ -23,11 +23,10 @@ pub mod harness;
 pub mod model;
 pub mod report;
 
-pub use advisor::{Finding, OffloadAdvisor, OnlineAdvisor, Severity, WorkloadDesc};
+pub use advisor::{Finding, OffloadAdvisor, Severity, WorkloadDesc};
 pub use harness::{
-    measure_breakdown, measure_latency, measure_throughput, run_open_loop, run_scenario,
-    MeasuredBreakdown, OpenLoopResult, OpenStreamResult, OpenStreamSpec, Scenario, ScenarioResult,
-    ServerKind, StreamResult, StreamSpec,
+    measure_breakdown, measure_latency, measure_throughput, run_scenario, MeasuredBreakdown,
+    Scenario, ScenarioResult, ServerKind, StreamResult, StreamSpec,
 };
 pub use model::{BottleneckModel, LatencyModel, PacketModel};
 pub use report::Table;

@@ -87,22 +87,11 @@ impl ClientMachine {
     }
 
     /// Processes an outgoing request whose doorbell reached the NIC at
-    /// `nic_seen`. `outbound_payload` is the data the request carries
-    /// (WRITE/SEND payload; 0 for READ). Returns the instant the message
-    /// starts onto the wire.
-    pub fn issue(&mut self, nic_seen: Nanos, outbound_payload: u64) -> Nanos {
-        self.issue_with_wire(nic_seen, outbound_payload, outbound_payload)
-    }
-
-    /// Like [`ClientMachine::issue`], but decouples the bytes fetched
-    /// from client memory (`fetch_payload`, 0 for inlined data) from the
-    /// bytes carried on the wire (`wire_payload`).
-    pub fn issue_with_wire(
-        &mut self,
-        nic_seen: Nanos,
-        fetch_payload: u64,
-        wire_payload: u64,
-    ) -> Nanos {
+    /// `nic_seen`. `wire_payload` is the data the request carries
+    /// (WRITE/SEND payload; 0 for READ); `fetch_payload` is the part the
+    /// NIC must first fetch from client memory (0 for inlined data).
+    /// Returns the instant the message starts onto the wire.
+    pub fn issue(&mut self, nic_seen: Nanos, fetch_payload: u64, wire_payload: u64) -> Nanos {
         // Reserve the TX *and* RX processing budget of this request up
         // front (2x the PU time): reserving the RX half later, at the
         // response's future arrival time, would block pool units across
@@ -190,7 +179,7 @@ mod tests {
     #[test]
     fn issue_read_needs_no_client_dma() {
         let mut c = cli();
-        let depart = c.issue(Nanos::new(1000), 0);
+        let depart = c.issue(Nanos::new(1000), 0, 0);
         // Just PU time: no payload fetch.
         assert!(depart - Nanos::new(1000) < Nanos::new(500), "{depart}");
     }
@@ -198,9 +187,9 @@ mod tests {
     #[test]
     fn issue_write_fetches_payload() {
         let mut c = cli();
-        let d0 = c.issue(Nanos::new(1000), 0);
+        let d0 = c.issue(Nanos::new(1000), 0, 0);
         let mut c = cli();
-        let d1 = c.issue(Nanos::new(1000), 4096);
+        let d1 = c.issue(Nanos::new(1000), 4096, 4096);
         assert!(d1 > d0, "payload fetch should add latency");
     }
 
@@ -220,7 +209,7 @@ mod tests {
         // charging 2x the PU time (TX + prepaid RX).
         let mut last = Nanos::ZERO;
         for _ in 0..1000 {
-            last = last.max(c.issue(Nanos::ZERO, 0));
+            last = last.max(c.issue(Nanos::ZERO, 0, 0));
         }
         let rate_mops = 1000.0 / last.as_secs_f64() / 1e6;
         // CX-4 spec: 16 / (2 x 220 ns) ~ 36 M/s.

@@ -13,6 +13,10 @@
 //! * [`ServerMachine::intra_dma`] — the path-3 composite (read one
 //!   memory, write the other), with cut-through below the forwarding
 //!   buffer and store-and-forward above it (the Figure 9 collapse).
+//!
+//! [`ServerMachine::serve_verb`] composes a DMA leg with the SEND
+//! handler: the responder step both the fabric and the cluster runtime
+//! run for a remote verb.
 
 use memsys::{MemOp, MemSystem};
 use pcie_model::counters::{CountDir, LinkId, PcieCounters};
@@ -23,7 +27,7 @@ use simnet::resource::{Dir, DuplexPipe, MultiServer, Reservation};
 use simnet::time::{Bandwidth, Nanos};
 use topology::{DpaSpec, MachineSpec, NicDevice, NicSpec, SmartNicSpec};
 
-use crate::request::Endpoint;
+use crate::request::{Endpoint, Verb};
 
 /// Per-request-TLP header bytes charged on the wire-facing PCIe pipes for
 /// read requests and other control TLPs.
@@ -889,6 +893,35 @@ impl ServerMachine {
         };
         self.spans.record(Hop::Cpu, arrival, done);
         done
+    }
+
+    /// The responder step of a remote verb once the NIC has parsed it
+    /// on `pu`: the DMA leg into or out of `ep`'s memory, then — for a
+    /// SEND — the CPU message handler. Nothing starts the handler or the
+    /// reply before `floor`, the instant the inbound transfer is fully
+    /// in. Returns when the reply may leave.
+    pub fn serve_verb(
+        &mut self,
+        pu: &Reservation,
+        floor: Nanos,
+        verb: Verb,
+        ep: Endpoint,
+        addr: u64,
+        payload: u64,
+    ) -> Nanos {
+        let op = match verb {
+            Verb::Read => MemOp::Read,
+            Verb::Write | Verb::Send => MemOp::Write,
+        };
+        // The DMA leg starts as soon as the PU pipeline emits the parsed
+        // request (the unit stays occupied for its full service time).
+        let leg = self.dma(pipeline_out(pu), ep, op, addr, payload, true);
+        let ready = leg.data_ready.max(floor);
+        if verb == Verb::Send {
+            self.handle_message(ready, ep)
+        } else {
+            ready
+        }
     }
 }
 

@@ -17,9 +17,8 @@
 //! where every epoch pops and reschedules thousands of events. Deliveries
 //! beyond the wheel's ~3.2-day horizon park in an overflow heap and migrate
 //! into the wheel as the clock approaches them. The previous heap-based
-//! scheduler survives as [`BaselineEngine`], kept as the differential
-//! oracle for the wheel (see `tests/props.rs`) and as the comparison point
-//! in `benches/primitives.rs`.
+//! scheduler survives as [`BaselineEngine`], kept only as the lockstep
+//! oracle for the wheel (see `tests/props.rs`).
 
 use core::cmp::Ordering;
 use std::cell::Cell;
@@ -439,10 +438,10 @@ impl<E> Engine<E> {
 
 /// The original `BinaryHeap` scheduler behind the same API as [`Engine`].
 ///
-/// Kept as the differential oracle for the timing wheel — the equivalence
+/// Kept only as the lockstep oracle for the timing wheel: the equivalence
 /// property test (`tests/props.rs`) replays randomized schedules through
-/// both and demands identical `(at, seq, event)` streams — and as the
-/// baseline series in `benches/primitives.rs`. Simulations use [`Engine`].
+/// both and demands identical `(at, seq, event)` streams. Simulations use
+/// [`Engine`].
 pub struct BaselineEngine<E> {
     heap: BinaryHeap<Scheduled<E>>,
     now: Nanos,

@@ -3,10 +3,11 @@
 //! Replaces the external property-testing framework with a deterministic,
 //! dependency-free equivalent: a property is a closure over a [`Gen`]
 //! that draws a random case and returns `Err(message)` (usually via
-//! [`prop_assert!`]/[`prop_assert_eq!`](crate::prop_assert_eq)) when the
-//! invariant is violated. [`check`] runs the closure over a seeded case
-//! sequence and, on failure, panics with the exact 64-bit case seed so
-//! the case reproduces in isolation.
+//! [`prop_assert!`](crate::prop_assert)/
+//! [`prop_assert_eq!`](crate::prop_assert_eq)) when the invariant is
+//! violated. [`check`] runs the closure over a seeded case sequence and,
+//! on failure, panics with the exact 64-bit case seed so the case
+//! reproduces in isolation.
 //!
 //! Determinism: case seeds are derived (SplitMix64) from an FNV-1a hash
 //! of the property name — no wall clock, no process entropy — so a given
@@ -143,8 +144,9 @@ fn fnv1a(name: &str) -> u64 {
 /// panics, printing the reproducing seed, on the first failure.
 ///
 /// A failure is either an `Err` returned by the closure (the
-/// [`prop_assert!`] family) or a panic escaping it (an `assert!` deep in
-/// library code); both are reported with the case seed.
+/// [`prop_assert!`](crate::prop_assert) family) or a panic escaping it
+/// (an `assert!` deep in library code); both are reported with the case
+/// seed.
 ///
 /// # Panics
 ///

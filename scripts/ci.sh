@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 gate: hermetic build + tests + formatting.
+# Tier-1 gate: hermetic build + tests + formatting + lints + rustdoc.
 #
 # --offline is load-bearing, not an optimization: the workspace has a
 # zero-external-dependency policy (see the root Cargo.toml and
@@ -13,6 +13,8 @@ cargo build --release --offline
 cargo test -q --workspace --offline
 cargo fmt --check
 cargo clippy --workspace --all-targets --offline -- -D warnings
+# Rustdoc warnings (an intra-doc link left dangling by a deletion) fail.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # The parallel cluster runtime must actually prove worker-count
 # invariance — fault-free, with the fault plane active, under open-loop
@@ -78,4 +80,4 @@ for workload in rack_verbs rack_services harness_sweep; do
     fi
 done
 
-echo "ci.sh: build + tests + fmt + clippy + cluster determinism + golden digests + benchmark smoke all green (offline)"
+echo "ci.sh: build + tests + fmt + clippy + rustdoc + cluster determinism + golden digests + benchmark smoke all green (offline)"

@@ -143,14 +143,15 @@ fn histogram_percentiles_monotone() {
     });
 }
 
-/// Open-loop runs conserve operations exactly: every generated arrival
-/// is either completed, dropped by admission, or still in flight at the
-/// horizon — for any rate, queue bound, drop policy and path.
+/// Open-loop rack runs conserve operations exactly: every generated
+/// arrival is either completed, dropped by admission, or still in flight
+/// at the horizon — for any rate, queue bound, drop policy and path —
+/// and the run is byte-identical at 1 and 2 workers.
 #[test]
 fn open_loop_conserves_ops() {
     check("open_loop_conserves_ops", |g| {
+        use offpath_smartnic::cluster::{run_cluster, ClusterScenario, ClusterStream};
         use offpath_smartnic::simnet::arrivals::{DropPolicy, OpenLoopSpec};
-        use offpath_smartnic::study::harness::{run_open_loop, OpenStreamSpec, Scenario};
 
         let paths = [
             PathKind::Snic1,
@@ -168,20 +169,23 @@ fn open_loop_conserves_ops() {
         let spec = OpenLoopSpec::poisson(rate)
             .with_queue_cap(g.usize(4..256))
             .with_policy(policy);
-        let scenario = Scenario {
-            warmup: Nanos::from_micros(50),
-            duration: Nanos::from_micros(300),
-            seed: g.u64(0..1_000_000),
-            ..Scenario::default()
+        let mut sc = ClusterScenario::quick().with_seed(g.u64(0..1_000_000));
+        sc.cluster.clients.truncate(3);
+        sc.warmup = Nanos::from_micros(50);
+        sc.duration = Nanos::from_micros(300);
+        let clients = if path.is_remote() {
+            vec![0, 1, 2]
+        } else {
+            vec![]
         };
-        let payload = g.u64(1..4096);
-        let r = run_open_loop(
-            &scenario,
-            &[OpenStreamSpec::new(path, Verb::Write, payload, spec)],
-        );
+        let streams =
+            [ClusterStream::new(path, Verb::Write, g.u64(1..4096), clients).open_loop(spec)];
+        let run = |workers| run_cluster(&sc.clone().with_workers(workers), &streams);
+        let r = run(1);
         let s = &r.streams[0];
         prop_assert!(s.generated > 0, "no arrivals generated");
-        prop_assert_eq!(s.generated, s.completed_total + s.dropped() + s.inflight);
+        prop_assert_eq!(s.generated, s.completed_total + s.dropped + s.inflight);
+        prop_assert_eq!(r.to_csv(), run(2).to_csv());
         Ok(())
     });
 }

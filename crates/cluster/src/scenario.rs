@@ -201,8 +201,10 @@ pub struct ClusterScenario {
     pub duration: Nanos,
     /// PRNG seed.
     pub seed: u64,
-    /// Worker OS threads; `0` means one per available core. Results are
-    /// byte-identical for every value.
+    /// Worker threads, the caller's included: `n` workers spawn `n - 1`
+    /// threads and the calling thread runs shards as worker 0. `0` means
+    /// one per available core. Results are byte-identical for every
+    /// value.
     pub workers: usize,
     /// Fault-injection schedule; the default ([`FaultSpec::none`]) is
     /// inert and installs nothing anywhere.
@@ -309,8 +311,8 @@ pub struct ClusterResult {
     pub epochs: u64,
     /// Messages routed through the switch.
     pub messages: u64,
-    /// Worker threads actually used: the requested count, clamped to
-    /// the number of shards.
+    /// Worker threads actually used, the caller's included: the
+    /// requested count, clamped to the number of shards.
     pub workers: usize,
     /// Simulator events delivered across all shards — the denominator
     /// for events/sec macro benchmarks.

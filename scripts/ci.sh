@@ -13,6 +13,9 @@ cargo build --release --offline
 cargo test -q --workspace --offline
 cargo fmt --check
 cargo clippy --workspace --all-targets --offline -- -D warnings
+# snicbench is its own package outside the workspace: lint it too.
+cargo fmt --check --manifest-path snicbench/Cargo.toml
+cargo clippy --offline --manifest-path snicbench/Cargo.toml --all-targets -- -D warnings
 # Rustdoc warnings (an intra-doc link left dangling by a deletion) fail.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
@@ -80,4 +83,4 @@ for workload in rack_verbs rack_services harness_sweep; do
     fi
 done
 
-echo "ci.sh: build + tests + fmt + clippy + rustdoc + cluster determinism + golden digests + benchmark smoke all green (offline)"
+echo "ci.sh: build + tests + fmt + clippy (workspace and snicbench) + rustdoc + cluster determinism + golden digests + benchmark smoke all green (offline)"

@@ -216,15 +216,16 @@ fn cluster_worker_count_invariance() {
         run_cluster(&sc, &streams)
     };
     let a = run(1);
-    let b = run(2);
-    let c = run(8);
     assert!(
         a.streams.iter().all(|s| s.completions > 100),
         "scenario too idle to prove anything"
     );
     assert!(a.messages > 1000, "too little cross-shard traffic");
 
-    for (other, n) in [(&b, 2), (&c, 8)] {
+    // Shards are claimed dynamically, so which thread runs a shard
+    // changes from run to run: repeat the two-worker case.
+    for n in [2, 2, 2, 8] {
+        let other = &run(n);
         assert_eq!(
             a.to_csv().as_bytes(),
             other.to_csv().as_bytes(),

@@ -93,7 +93,7 @@ pub fn emit(prefix: &str, tables: &[Table], opts: &Options) {
 }
 
 /// A thread-safe collector for tables produced by parallel experiment
-/// workers (scoped threads in the figure binaries), preserving a
+/// workers (scoped threads in `run_all`), preserving a
 /// deterministic (name, index) order on drain.
 #[derive(Default)]
 pub struct TableSink {

@@ -12,9 +12,10 @@
 //! * `SocIndex` — SoC cores own the index; the value is pulled from
 //!   host memory over path 3 (1 round trip, wimpy cores + weak SoC
 //!   DRAM, double PCIe1 exposure under faults);
-//! * `OneSidedRnic` — the client resolves the get with one-sided
-//!   READs: one per probe-chain bucket plus the value READ (no server
-//!   CPU, network amplification).
+//! * `OneSidedRnic` / `OneSidedSnic` — the client resolves the get with
+//!   one-sided READs: one per probe-chain bucket plus the value READ (no
+//!   server CPU, network amplification). Only these and `HostRpc` run
+//!   on a server without a SmartNIC.
 //!
 //! Placement is either pinned ([`KvPlacement::Static`]) or re-decided
 //! at fixed epoch boundaries by an online policy consuming the last
@@ -394,6 +395,21 @@ impl KvServer {
         self.index.region_len() + self.next_value
     }
 
+    /// Stores `key` for a put and returns its value slot. An overwrite
+    /// keeps the key's slot; only a fresh key advances the allocator,
+    /// so a long update run never walks off the value region.
+    pub fn put(&mut self, key: u64) -> u64 {
+        let existing = self.index.lookup(key).ok().map(|l| l.entry.value_addr);
+        let addr = existing.unwrap_or(KV_VALUES_BASE + self.next_value);
+        self.index
+            .insert(key, addr, self.value_size)
+            .expect("put fits the configured index");
+        if existing.is_none() {
+            self.next_value += self.value_size as u64;
+        }
+        addr
+    }
+
     /// Records one served op into the advisor window.
     pub fn observe(&mut self, key: u64, is_read: bool, probes: u32) {
         self.win_ops += 1;
@@ -510,6 +526,30 @@ mod tests {
                 assert_eq!(s.index.lookup(k).is_ok(), i == home, "key {k} server {i}");
             }
         }
+    }
+
+    /// Regression: updating one key 10k times must not move the value
+    /// allocator, or a long update run walks off the value region.
+    #[test]
+    fn put_overwrite_pins_value_allocator() {
+        let spec = KvStreamSpec::new(
+            Mix::A,
+            KeyDist::Uniform,
+            KvPlacement::Static(Design::HostRpc),
+        )
+        .with_keys(2000);
+        let mut s = KvServer::new(&spec, 0, 1, Nanos::new(300), Nanos::new(320), None);
+        let before = s.next_value;
+        assert_eq!(before, 2000 * 256);
+        let slot = s.put(7);
+        for _ in 0..10_000 {
+            assert_eq!(s.put(7), slot);
+        }
+        assert_eq!(s.next_value, before);
+        assert_eq!(s.index.len(), 2000);
+        // A fresh key still takes exactly one new slot.
+        assert_eq!(s.put(1_000_000), KV_VALUES_BASE + before);
+        assert_eq!(s.next_value, before + 256);
     }
 
     #[test]

@@ -15,10 +15,11 @@ use simnet::rng::SimRng;
 use simnet::stats::{Histogram, LatencySummary};
 use simnet::time::{Bandwidth, Nanos, Rate};
 use snic_farmem::{FmPlacement, FmStreamSpec};
+use snic_kvstore::Design;
 use topology::ClusterSpec;
 
 use crate::fm::{FmHost, FmServer};
-use crate::kv::{KvServer, KvStreamSpec};
+use crate::kv::{KvPlacement, KvServer, KvStreamSpec};
 use crate::runtime;
 use crate::shard::{Shard, ShardCounters};
 use crate::switch::SwitchFabric;
@@ -370,8 +371,9 @@ impl ClusterResult {
 /// # Panics
 ///
 /// Panics if the scenario names a missing server, a stream references a
-/// missing client machine (or lists none for a remote path), or a
-/// SmartNIC path targets a server without a SmartNIC.
+/// missing client machine (or lists none for a remote path), a
+/// SmartNIC path targets a server without a SmartNIC, or a KV placement
+/// other than host RPC or one-sided READs meets a server without one.
 pub fn run_cluster(scenario: &ClusterScenario, streams: &[ClusterStream]) -> ClusterResult {
     let n_clients = scenario.cluster.clients.len();
     let n_servers = scenario.cluster.servers.len();
@@ -380,6 +382,20 @@ pub fn run_cluster(scenario: &ClusterScenario, streams: &[ClusterStream]) -> Clu
         "scenario targets server {} but the cluster has {n_servers}",
         scenario.server
     );
+    // The KV service spans every server. A plain RNIC can serve only the
+    // placements that touch no SoC or DPA: host RPC and one-sided READs.
+    for st in streams
+        .iter()
+        .filter(|s| s.kv.is_some_and(|k| !host_only(k.placement)))
+    {
+        for (j, m) in scenario.cluster.servers.iter().enumerate() {
+            assert!(
+                m.nic.smartnic().is_some(),
+                "KV stream '{}' places its index off the host, which needs a SmartNIC on server {j}",
+                st.label
+            );
+        }
+    }
     let server_shard = n_clients + scenario.server;
     let n_shards = n_clients + n_servers;
 
@@ -436,7 +452,9 @@ pub fn run_cluster(scenario: &ClusterScenario, streams: &[ClusterStream]) -> Clu
     }
 
     for (si, stream) in streams.iter().enumerate() {
-        if stream.path.on_smartnic() {
+        // KV streams fan out over every server; the entry check above
+        // covers them.
+        if stream.path.on_smartnic() && stream.kv.is_none() {
             assert!(
                 scenario.cluster.servers[scenario.server]
                     .nic
@@ -523,16 +541,15 @@ pub fn run_cluster(scenario: &ClusterScenario, streams: &[ClusterStream]) -> Clu
         for (j, m) in scenario.cluster.servers.iter().enumerate() {
             let host_svc = m.host.cpu.msg_handle_time
                 + PostCostModel::new(m, PosterKind::HostCpu).cpu_time_per_request(PostMode::Mmio);
-            let soc = m
-                .nic
-                .smartnic()
-                .expect("the KV service needs SmartNIC-carrying servers");
-            let soc_svc = soc.soc.msg_handle_time
-                + PostCostModel::new(m, PosterKind::SocCore)
+            // Without a SmartNIC the placement never reaches a SoC core
+            // (checked at entry), so the SoC service time goes unread.
+            let (soc_svc, dpa) = m.nic.smartnic().map_or((Nanos::ZERO, None), |soc| {
+                let post = PostCostModel::new(m, PosterKind::SocCore)
                     .cpu_time_per_request(PostMode::Doorbell(32));
-            shards[n_clients + j].install_kv_server(KvServer::new(
-                spec, j, n_servers, host_svc, soc_svc, soc.dpa,
-            ));
+                (soc.soc.msg_handle_time + post, soc.dpa)
+            });
+            shards[n_clients + j]
+                .install_kv_server(KvServer::new(spec, j, n_servers, host_svc, soc_svc, dpa));
         }
     }
     // The far-memory pool likewise spans every server machine's SoC:
@@ -723,11 +740,20 @@ pub fn run_cluster(scenario: &ClusterScenario, streams: &[ClusterStream]) -> Clu
     }
 }
 
+/// Whether a KV placement serves from host memory alone, so a server
+/// without a SmartNIC can run it.
+fn host_only(placement: KvPlacement) -> bool {
+    matches!(
+        placement,
+        KvPlacement::Static(Design::HostRpc | Design::OneSidedRnic | Design::OneSidedSnic)
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kv::{advisor_policy, KvPlacement};
-    use snic_kvstore::{Design, KeyDist, Mix};
+    use crate::kv::advisor_policy;
+    use snic_kvstore::{KeyDist, Mix};
     use topology::MachineSpec;
 
     fn tiny() -> ClusterScenario {
@@ -787,6 +813,35 @@ mod tests {
             }
             assert_eq!(cv(&r, "kv_decisions"), 0, "static placements never decide");
         }
+    }
+
+    #[test]
+    fn kv_mix_sets_the_read_share() {
+        for (mix, reads) in [(Mix::C, 1.0..=1.0), (Mix::A, 0.38..=0.62)] {
+            let spec =
+                KvStreamSpec::new(mix, KeyDist::Uniform, KvPlacement::Static(Design::HostRpc))
+                    .with_keys(2000);
+            let st = ClusterStream::kv_service(spec, vec![0, 1, 2]);
+            let r = run_cluster(&tiny().with_workers(1), &[st]);
+            let (gets, puts) = (cv(&r, "kv_gets"), cv(&r, "kv_puts"));
+            let share = gets as f64 / (gets + puts) as f64;
+            assert!(reads.contains(&share), "{mix:?} read share {share}");
+        }
+    }
+
+    #[test]
+    fn kv_on_a_plain_rnic_takes_only_host_placements() {
+        let mut sc = tiny().with_workers(1);
+        sc.cluster = ClusterSpec::rnic_testbed();
+        sc.cluster.clients.truncate(2);
+        let st = |d| ClusterStream::kv_service(kv_spec(KvPlacement::Static(d)), vec![0, 1]);
+        let r = run_cluster(&sc, &[st(Design::OneSidedRnic)]);
+        assert!(r.streams[0].completions > 100);
+        assert!(cv(&r, "kv_probe_trips") > cv(&r, "kv_gets"));
+        let soc = std::panic::AssertUnwindSafe(|| run_cluster(&sc, &[st(Design::SocIndex)]));
+        let err = std::panic::catch_unwind(soc).expect_err("SoC index on a ConnectX-6");
+        let msg = err.downcast_ref::<String>().expect("a formatted panic");
+        assert!(msg.contains("needs a SmartNIC on server 0"), "{msg}");
     }
 
     #[test]

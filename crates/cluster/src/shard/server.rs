@@ -16,10 +16,7 @@ use snic_kvstore::{Design, BUCKET_BYTES};
 
 use super::{fm_host, next_id, Ev, Io, Issue};
 use crate::fm::{fm_global_page, FmServer};
-use crate::kv::{
-    KvServer, KV_HOST_PROBE, KV_INDEX_BASE, KV_PUT_EXTRA, KV_SOC_PROBE, KV_VALUES_BASE, SOC_BANKS,
-    SOC_BANK_HOLD,
-};
+use crate::kv::{KvServer, KV_HOST_PROBE, KV_PUT_EXTRA, KV_SOC_PROBE, SOC_BANKS, SOC_BANK_HOLD};
 use crate::msg::{FmRespKind, KvOp, KvRespKind, MsgKind, ShardId};
 
 /// Receive-queue depth used by the responder's echo loop (the paper's
@@ -460,8 +457,7 @@ impl Server {
             KvOp::Get => self.kv_get(io, rx, key, xid),
             KvOp::Probe { hop } => {
                 kv.probe_trips += 1;
-                let bucket = (kv.index.home_bucket(key) + hop as usize) % kv.index.n_buckets();
-                let addr = KV_INDEX_BASE + bucket as u64 * BUCKET_BYTES;
+                let addr = kv.index.probe_addr(key, hop);
                 let done = host_read(srv, rx.start, addr, BUCKET_BYTES);
                 (done, KvRespKind::Bucket, BUCKET_BYTES)
             }
@@ -476,16 +472,7 @@ impl Server {
                 let pu = srv.reserve_pu(rx.start, Endpoint::Host);
                 let arrival = pipeline_out(&pu).max(rx.ready);
                 let res = kv.host_pool.reserve(arrival, kv.host_svc + KV_PUT_EXTRA);
-                // Overwrites reuse the existing slot; only a fresh key
-                // advances the allocator.
-                let existing = kv.index.lookup(key).ok().map(|l| l.entry.value_addr);
-                let addr = existing.unwrap_or(KV_VALUES_BASE + kv.next_value);
-                kv.index
-                    .insert(key, addr, kv.value_size)
-                    .expect("put fits the configured index");
-                if existing.is_none() {
-                    kv.next_value += kv.value_size as u64;
-                }
+                let addr = kv.put(key);
                 let bytes = kv.value_size as u64;
                 let leg = srv.dma(res.finish, Endpoint::Host, MemOp::Write, addr, bytes, true);
                 (leg.data_ready, KvRespKind::PutAck, 0)
@@ -514,7 +501,7 @@ impl Server {
                 // Reply with the home bucket; the client drives the rest
                 // of the chain with its own READs.
                 kv.probe_trips += 1;
-                let addr = KV_INDEX_BASE + (kv.index.home_bucket(key) as u64) * BUCKET_BYTES;
+                let addr = kv.index.probe_addr(key, 0);
                 let chain = KvRespKind::Chain {
                     probes: l.probes,
                     value_addr: l.entry.value_addr,

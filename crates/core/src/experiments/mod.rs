@@ -2,8 +2,8 @@
 //!
 //! One module per paper artifact (see DESIGN.md §3 for the index). Each
 //! module exposes `run(quick) -> Vec<Table>`: `quick = true` shrinks the
-//! sweep and simulated duration for tests and Criterion benches;
-//! `quick = false` runs the full paper sweep (the figure binaries).
+//! sweep and simulated duration for tests and `run_all --quick`;
+//! `quick = false` runs the full paper sweep (`run_all`).
 
 pub mod bf3_dpa;
 pub mod budget;

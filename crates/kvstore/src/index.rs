@@ -171,6 +171,12 @@ impl HashIndex {
         self.hash(key)
     }
 
+    /// The registered address a remote reader READs for probe `hop` of
+    /// `key`'s chain.
+    pub fn probe_addr(&self, key: u64, hop: u32) -> u64 {
+        self.bucket_addr((self.home_bucket(key) + hop as usize) % self.buckets.len())
+    }
+
     /// Total registered bytes of the bucket array.
     pub fn region_len(&self) -> u64 {
         self.buckets.len() as u64 * BUCKET_BYTES
@@ -265,24 +271,6 @@ impl HashIndex {
         }
         Err(IndexError::NotFound)
     }
-
-    /// Mean probes per present key (load-dependent amplification).
-    pub fn mean_probes(&self) -> f64 {
-        if self.entries == 0 {
-            return 0.0;
-        }
-        let mut total = 0u64;
-        let mut count = 0u64;
-        for b in &self.buckets {
-            for e in &b.slots {
-                if let Ok(l) = self.lookup(e.key) {
-                    total += l.probes as u64;
-                    count += 1;
-                }
-            }
-        }
-        total as f64 / count.max(1) as f64
-    }
 }
 
 #[cfg(test)]
@@ -327,12 +315,12 @@ mod tests {
         for k in 0..100u64 {
             idx.insert(k, k, 8).unwrap();
         }
-        let mean = idx.mean_probes();
-        assert!(mean > 1.0, "mean probes {mean}");
         // All keys still found.
-        for k in 0..100u64 {
-            idx.lookup(k).unwrap();
-        }
+        let longest = (0..100u64)
+            .map(|k| idx.lookup(k).unwrap().probes)
+            .max()
+            .unwrap();
+        assert!(longest > 1, "longest chain {longest}");
     }
 
     #[test]
@@ -476,7 +464,38 @@ mod tests {
         for k in 0..100u64 {
             idx.insert(k, k, 8).unwrap();
         }
-        let mean = idx.mean_probes();
-        assert!(mean < 1.05, "mean probes {mean}");
+        let total: u32 = (0..100u64).map(|k| idx.lookup(k).unwrap().probes).sum();
+        assert!(total < 105, "{total} probes for 100 keys");
+    }
+
+    /// Regression: probe READs must walk the key's real chain — home
+    /// bucket, then `(home + hop) % n` — not offsets `0, 64, 128, ...`
+    /// from the start of the region.
+    #[test]
+    fn probe_addrs_walk_the_real_chain() {
+        let base = 1 << 28;
+        let mut idx = HashIndex::new(1024, base);
+        for k in 0..3500u64 {
+            idx.insert(k, k * 256, 256).unwrap();
+        }
+        let n = idx.n_buckets() as u64;
+        let mut multi_probe_off_zero = 0u32;
+        for k in 0..3500u64 {
+            let probes = idx.lookup(k).unwrap().probes;
+            let home = idx.home_bucket(k) as u64;
+            for hop in 0..probes {
+                let addr = idx.probe_addr(k, hop);
+                let bucket = (home + u64::from(hop)) % n;
+                assert_eq!(addr, base + bucket * BUCKET_BYTES, "key {k} hop {hop}");
+                assert!(addr + BUCKET_BYTES <= base + idx.region_len());
+            }
+            if probes >= 2 && home != 0 {
+                multi_probe_off_zero += 1;
+            }
+        }
+        assert!(
+            multi_probe_off_zero > 0,
+            "workload must walk multi-probe chains"
+        );
     }
 }

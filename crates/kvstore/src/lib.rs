@@ -1,5 +1,5 @@
-//! `snic-kvstore` — the distributed in-memory key-value store of the
-//! paper's Figure 1, built on the simulated RDMA fabric.
+//! `snic-kvstore` — the building blocks of the paper's Figure-1
+//! key-value store.
 //!
 //! Demonstrates the motivating trade-off of off-path SmartNICs:
 //!
@@ -11,9 +11,10 @@
 //!   host memory over path 3 (Figure 1(b)) — subject to all the path-3
 //!   guidelines the study derives.
 //!
-//! The store is real: a flat RDMA-readable [`index::HashIndex`] with
-//! collision chains, a bump-allocated value region, and four pluggable
-//! designs in [`store::KvStore`].
+//! This crate holds the store's parts: a flat RDMA-readable
+//! [`index::HashIndex`] with collision chains, the serving
+//! [`store::Design`]s and the YCSB workload shapes in [`workload`]. The
+//! rack KV service in `snic-cluster` serves them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -21,9 +22,7 @@
 pub mod index;
 pub mod store;
 pub mod workload;
-pub mod ycsb;
 
 pub use index::{Entry, HashIndex, IndexError, Lookup, BUCKET_BYTES};
-pub use store::{Design, GetResult, KvConfig, KvError, KvStore};
-pub use workload::{run_gets, KeyDist, KvRunStats};
-pub use ycsb::{run_mix, Mix, YcsbStats};
+pub use store::Design;
+pub use workload::{KeyDist, Mix};

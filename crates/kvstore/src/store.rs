@@ -1,5 +1,4 @@
-//! The distributed in-memory key-value store of Figure 1, in three
-//! designs over the simulated fabric.
+//! The Figure-1 KV store designs.
 //!
 //! * [`Design::OneSidedRnic`] / [`Design::OneSidedSnic`] — Figure 1(a):
 //!   the client resolves a `get` entirely with one-sided READs: one READ
@@ -11,13 +10,9 @@
 //!   network round trip.
 //! * [`Design::HostRpc`] — the conventional two-sided design: the host
 //!   CPU handles the request (no amplification, but burns host cores).
-
-use nicsim::fabric::RpcOp;
-use nicsim::{Endpoint, Fabric, PathKind};
-use rdma_sim::verbs::{Context, Cq, Mr, Qp, QpType};
-use simnet::time::Nanos;
-
-use crate::index::{HashIndex, IndexError, BUCKET_BYTES};
+//!
+//! The rack KV service (`snic-cluster`'s `kv` module) serves every
+//! design.
 
 /// Which acceleration design serves `get`s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,543 +51,5 @@ impl Design {
             Design::HostRpc => "two-sided host RPC",
             Design::DpaHandler => "DPA handler",
         }
-    }
-}
-
-/// Store configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct KvConfig {
-    /// Number of keys preloaded.
-    pub n_keys: u64,
-    /// Value size in bytes.
-    pub value_size: u32,
-    /// Index buckets (controls probe amplification).
-    pub index_buckets: usize,
-    /// Client machines available.
-    pub n_clients: usize,
-}
-
-impl Default for KvConfig {
-    fn default() -> Self {
-        KvConfig {
-            n_keys: 100_000,
-            value_size: 256,
-            index_buckets: 64 << 10,
-            n_clients: 2,
-        }
-    }
-}
-
-/// Outcome of one `get`.
-#[derive(Debug, Clone, Copy)]
-pub struct GetResult {
-    /// Completion instant.
-    pub completed: Nanos,
-    /// End-to-end latency.
-    pub latency: Nanos,
-    /// Network round trips consumed.
-    pub network_trips: u32,
-    /// Value length returned.
-    pub value_len: u32,
-}
-
-/// Errors from store operations.
-#[derive(Debug)]
-pub enum KvError {
-    /// Key missing.
-    NotFound,
-    /// Index rejected an insert.
-    Index(IndexError),
-    /// Verbs-layer failure.
-    Rdma(rdma_sim::verbs::RdmaError),
-}
-
-impl From<IndexError> for KvError {
-    fn from(e: IndexError) -> Self {
-        if e == IndexError::NotFound {
-            KvError::NotFound
-        } else {
-            KvError::Index(e)
-        }
-    }
-}
-
-impl From<rdma_sim::verbs::RdmaError> for KvError {
-    fn from(e: rdma_sim::verbs::RdmaError) -> Self {
-        KvError::Rdma(e)
-    }
-}
-
-impl core::fmt::Display for KvError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            KvError::NotFound => write!(f, "key not found"),
-            KvError::Index(e) => write!(f, "index error: {e}"),
-            KvError::Rdma(e) => write!(f, "rdma error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for KvError {}
-
-/// Base address of the value region in host memory.
-const VALUES_BASE: u64 = 1 << 32;
-/// Base address of the index region (host or SoC memory by design).
-const INDEX_BASE: u64 = 1 << 28;
-/// Request/response header bytes for RPC designs.
-const REQ_BYTES: u64 = 32;
-
-/// A deployed key-value store.
-pub struct KvStore {
-    design: Design,
-    ctx: Context,
-    index: HashIndex,
-    index_mr: Mr,
-    value_mr: Mr,
-    qp: Qp,
-    cq: Cq,
-    value_size: u32,
-    next_value: u64,
-}
-
-impl KvStore {
-    /// Deploys a store with `design` and preloads `cfg.n_keys` keys.
-    pub fn new(design: Design, cfg: KvConfig) -> Self {
-        let fabric = match design {
-            Design::OneSidedRnic => Fabric::rnic_testbed(cfg.n_clients),
-            Design::DpaHandler => {
-                // A DPA design needs the BF-3 part that carries the plane.
-                let c = topology::ClusterSpec::paper_testbed();
-                Fabric::new(
-                    topology::MachineSpec::srv_with_bluefield3_dpa(),
-                    cfg.n_clients,
-                    c.wire,
-                )
-            }
-            _ => Fabric::bluefield_testbed(cfg.n_clients),
-        };
-        let ctx = Context::new(fabric);
-        let pd = ctx.alloc_pd();
-        let index_ep = match design {
-            Design::SocIndex => Endpoint::Soc,
-            _ => Endpoint::Host,
-        };
-        let path = match design {
-            Design::OneSidedRnic => PathKind::Rnic1,
-            Design::OneSidedSnic | Design::HostRpc | Design::DpaHandler => PathKind::Snic1,
-            Design::SocIndex => PathKind::Snic2,
-        };
-        let index = HashIndex::new(cfg.index_buckets, INDEX_BASE);
-        let index_mr = pd.register_mr(index_ep, INDEX_BASE, index.region_len());
-        let value_mr = pd.register_mr(
-            Endpoint::Host,
-            VALUES_BASE,
-            cfg.n_keys * cfg.value_size as u64 * 2,
-        );
-        let cq = pd.create_cq();
-        let qp_type = match design {
-            Design::SocIndex | Design::HostRpc => QpType::Ud,
-            _ => QpType::Rc,
-        };
-        let qp = pd.create_qp(qp_type, path, 0, &cq);
-        let mut store = KvStore {
-            design,
-            ctx,
-            index,
-            index_mr,
-            value_mr,
-            qp,
-            cq,
-            value_size: cfg.value_size,
-            next_value: 0,
-        };
-        for k in 0..cfg.n_keys {
-            store
-                .load(k)
-                .expect("preload must fit the configured index");
-        }
-        store
-    }
-
-    /// The design this store runs.
-    pub fn design(&self) -> Design {
-        self.design
-    }
-
-    /// Number of keys stored.
-    pub fn len(&self) -> u64 {
-        self.index.len()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
-    /// Mean index-probe amplification at current load.
-    pub fn mean_probes(&self) -> f64 {
-        self.index.mean_probes()
-    }
-
-    /// Loads a key during preload (no simulated time consumed; the paper
-    /// measures steady-state gets).
-    fn load(&mut self, key: u64) -> Result<(), KvError> {
-        let addr = VALUES_BASE + self.next_value;
-        self.next_value += self.value_size as u64;
-        self.index.insert(key, addr, self.value_size)?;
-        Ok(())
-    }
-
-    /// Bytes bump-allocated from the value region so far. Grows only
-    /// when a *fresh* key is loaded or put; overwrites reuse the
-    /// existing slot.
-    pub fn value_bytes_used(&self) -> u64 {
-        self.next_value
-    }
-
-    /// MR offsets of the bucket READs a one-sided reader posts for
-    /// `key`: the probe chain starts at the key's home bucket and
-    /// advances one bucket per hop, wrapping at the table end.
-    pub fn probe_offsets(&self, key: u64) -> Result<Vec<u64>, KvError> {
-        let lookup = self.index.lookup(key)?;
-        let start = self.index.home_bucket(key) as u64;
-        let n = self.index.n_buckets() as u64;
-        Ok((0..lookup.probes as u64)
-            .map(|hop| ((start + hop) % n) * BUCKET_BYTES)
-            .collect())
-    }
-
-    /// Inserts or updates a key at simulated time `now` (write path:
-    /// always an RPC to the host, which owns the value region).
-    pub fn put(&mut self, now: Nanos, key: u64) -> Result<GetResult, KvError> {
-        // Overwrites keep the key's existing value slot; only a fresh
-        // key bump-allocates. Allocating on every update would leak the
-        // old slot and let `next_value` walk off the registered MR over
-        // a long update run.
-        let existing = self.index.lookup(key).ok().map(|l| l.entry.value_addr);
-        let addr = existing.unwrap_or(VALUES_BASE + self.next_value);
-        self.index.insert(key, addr, self.value_size)?;
-        if existing.is_none() {
-            self.next_value += self.value_size as u64;
-        }
-        let op = RpcOp {
-            path: match self.design {
-                Design::OneSidedRnic => PathKind::Rnic1,
-                Design::SocIndex => PathKind::Snic2,
-                _ => PathKind::Snic1,
-            },
-            client: 0,
-            request_bytes: REQ_BYTES + self.value_size as u64,
-            response_bytes: REQ_BYTES,
-            handler_extra: Nanos::new(120),
-            fetch_other_endpoint: None,
-        };
-        let c = self.ctx.fabric().borrow_mut().execute_rpc(now, op);
-        Ok(GetResult {
-            completed: c.completed,
-            latency: c.latency(),
-            network_trips: 1,
-            value_len: 0,
-        })
-    }
-
-    /// Serves a `get` issued at simulated time `now`.
-    pub fn get(&mut self, now: Nanos, key: u64) -> Result<GetResult, KvError> {
-        match self.design {
-            Design::OneSidedRnic | Design::OneSidedSnic => self.get_one_sided(now, key),
-            Design::SocIndex => self.get_soc_offload(now, key),
-            Design::HostRpc => self.get_host_rpc(now, key),
-            Design::DpaHandler => self.get_dpa(now, key),
-        }
-    }
-
-    /// Figure 1(a): probe READs then a value READ, chained.
-    fn get_one_sided(&mut self, now: Nanos, key: u64) -> Result<GetResult, KvError> {
-        let lookup = self.index.lookup(key)?;
-        let mut t = now;
-        // One READ per index probe, at the chain's real bucket offsets
-        // (each must complete before the client knows where to look
-        // next).
-        for off in self.probe_offsets(key)? {
-            self.qp.post_read(t, &self.index_mr, off, BUCKET_BYTES)?;
-            t = self.drain_one();
-        }
-        // Value READ at the address the index returned.
-        self.qp.post_read(
-            t,
-            &self.value_mr,
-            lookup.entry.value_addr - VALUES_BASE,
-            lookup.entry.value_len as u64,
-        )?;
-        let done = self.drain_one();
-        Ok(GetResult {
-            completed: done,
-            latency: done - now,
-            network_trips: lookup.probes + 1,
-            value_len: lookup.entry.value_len,
-        })
-    }
-
-    /// Figure 1(b): one RPC; the SoC probes its local index (cheap) and
-    /// pulls the value from host memory over path 3.
-    fn get_soc_offload(&mut self, now: Nanos, key: u64) -> Result<GetResult, KvError> {
-        let lookup = self.index.lookup(key)?;
-        // Local probe cost on the wimpy cores: ~60 ns per bucket.
-        let lookup_cost = Nanos::new(60) * lookup.probes as u64;
-        let op = RpcOp {
-            path: PathKind::Snic2,
-            client: 0,
-            request_bytes: REQ_BYTES,
-            response_bytes: lookup.entry.value_len as u64,
-            handler_extra: lookup_cost,
-            fetch_other_endpoint: Some(lookup.entry.value_len as u64),
-        };
-        let c = self.ctx.fabric().borrow_mut().execute_rpc(now, op);
-        Ok(GetResult {
-            completed: c.completed,
-            latency: c.latency(),
-            network_trips: 1,
-            value_len: lookup.entry.value_len,
-        })
-    }
-
-    /// Conventional two-sided design: host CPU does everything.
-    fn get_host_rpc(&mut self, now: Nanos, key: u64) -> Result<GetResult, KvError> {
-        let lookup = self.index.lookup(key)?;
-        let lookup_cost = Nanos::new(25) * lookup.probes as u64;
-        let op = RpcOp {
-            path: PathKind::Snic1,
-            client: 0,
-            request_bytes: REQ_BYTES,
-            response_bytes: lookup.entry.value_len as u64,
-            handler_extra: lookup_cost,
-            fetch_other_endpoint: None,
-        };
-        let c = self.ctx.fabric().borrow_mut().execute_rpc(now, op);
-        Ok(GetResult {
-            completed: c.completed,
-            latency: c.latency(),
-            network_trips: 1,
-            value_len: lookup.entry.value_len,
-        })
-    }
-
-    /// BF-3 what-if: the get terminates at a DPA handler on the NIC.
-    /// The handler's working state is the whole store (index + live
-    /// value bytes); when it no longer fits the DPA scratch, every get
-    /// pays the spill round trip into SoC DRAM.
-    fn get_dpa(&mut self, now: Nanos, key: u64) -> Result<GetResult, KvError> {
-        let lookup = self.index.lookup(key)?;
-        let resident = self.index.region_len() + self.next_value;
-        let req = nicsim::RequestDesc::new(
-            nicsim::Verb::Send,
-            PathKind::Snic1,
-            REQ_BYTES + lookup.entry.value_len as u64,
-            0,
-            0,
-        )
-        .with_dpa(resident);
-        let c = self.ctx.fabric().borrow_mut().execute(now, req);
-        Ok(GetResult {
-            completed: c.completed,
-            latency: c.latency(),
-            network_trips: 1,
-            value_len: lookup.entry.value_len,
-        })
-    }
-
-    fn drain_one(&mut self) -> Nanos {
-        let t = self
-            .cq
-            .next_event_time()
-            .expect("a posted read must complete");
-        let wcs = self.cq.poll(t);
-        wcs.last().expect("polled at event time").completed
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn small_cfg() -> KvConfig {
-        KvConfig {
-            n_keys: 2000,
-            value_size: 256,
-            index_buckets: 1024,
-            n_clients: 2,
-        }
-    }
-
-    #[test]
-    fn gets_return_values_on_all_designs() {
-        for d in Design::ALL {
-            let mut kv = KvStore::new(d, small_cfg());
-            let r = kv.get(Nanos::ZERO, 17).unwrap();
-            assert_eq!(r.value_len, 256, "{d:?}");
-            assert!(r.latency > Nanos::ZERO);
-        }
-    }
-
-    #[test]
-    fn missing_key_errors() {
-        let mut kv = KvStore::new(Design::HostRpc, small_cfg());
-        assert!(matches!(
-            kv.get(Nanos::ZERO, 999_999),
-            Err(KvError::NotFound)
-        ));
-    }
-
-    #[test]
-    fn one_sided_amplification_counts_trips() {
-        // Load the index to force multi-probe chains.
-        let cfg = KvConfig {
-            n_keys: 3500,
-            index_buckets: 1024,
-            ..small_cfg()
-        };
-        let mut kv = KvStore::new(Design::OneSidedSnic, cfg);
-        assert!(kv.mean_probes() > 1.05, "probes {}", kv.mean_probes());
-        // Late-inserted keys hit the collision chains (early keys landed
-        // in empty home buckets during preload).
-        let mut max_trips = 0;
-        for (i, k) in (3300..3500u64).enumerate() {
-            let r = kv.get(Nanos::from_micros(i as u64 * 50), k).unwrap();
-            max_trips = max_trips.max(r.network_trips);
-        }
-        assert!(max_trips >= 3, "no amplified get observed: {max_trips}");
-    }
-
-    #[test]
-    fn dpa_design_serves_and_spills_past_scratch() {
-        // Small store: index (64 KiB) + values (512 KB) fit the 1 MiB
-        // DPA scratch; a store past the boundary spills on every get.
-        let mut small = KvStore::new(Design::DpaHandler, small_cfg());
-        let fit = small.get(Nanos::ZERO, 17).unwrap();
-        assert_eq!(fit.value_len, 256);
-        assert_eq!(fit.network_trips, 1);
-        let big_cfg = KvConfig {
-            n_keys: 8000,
-            index_buckets: 16 << 10,
-            ..small_cfg()
-        };
-        let mut big = KvStore::new(Design::DpaHandler, big_cfg);
-        let spill = big.get(Nanos::ZERO, 17).unwrap();
-        assert!(
-            spill.latency > fit.latency,
-            "spilled get {} !> resident get {}",
-            spill.latency,
-            fit.latency
-        );
-    }
-
-    #[test]
-    fn soc_offload_single_round_trip() {
-        let mut kv = KvStore::new(Design::SocIndex, small_cfg());
-        let r = kv.get(Nanos::ZERO, 5).unwrap();
-        assert_eq!(r.network_trips, 1);
-    }
-
-    #[test]
-    fn offload_beats_amplified_one_sided() {
-        // Figure 1: with a loaded index (multi-probe lookups), the
-        // offloaded design's single round trip wins on latency.
-        let cfg = KvConfig {
-            n_keys: 3500,
-            index_buckets: 1024,
-            ..small_cfg()
-        };
-        let mut one_sided = KvStore::new(Design::OneSidedSnic, cfg);
-        let mut offload = KvStore::new(Design::SocIndex, cfg);
-        let mut sum_os = 0u64;
-        let mut sum_of = 0u64;
-        // Late keys sit on collision chains and expose the amplification.
-        for (i, k) in (3200..3500u64).enumerate() {
-            let t = Nanos::from_micros(i as u64 * 100);
-            sum_os += one_sided.get(t, k).unwrap().latency.as_nanos();
-            sum_of += offload.get(t, k).unwrap().latency.as_nanos();
-        }
-        assert!(
-            sum_of < sum_os,
-            "offload {sum_of} should beat one-sided {sum_os}"
-        );
-    }
-
-    #[test]
-    fn put_then_get_roundtrip() {
-        let mut kv = KvStore::new(Design::HostRpc, small_cfg());
-        kv.put(Nanos::ZERO, 1_000_000).unwrap();
-        let r = kv.get(Nanos::from_micros(100), 1_000_000).unwrap();
-        assert_eq!(r.value_len, 256);
-    }
-
-    /// Regression: updating one key 10k times must not move the value
-    /// allocator. The pre-fix `put` bump-allocated a fresh slot per
-    /// update, so `next_value` grew without bound and long YCSB update
-    /// runs walked off the registered value MR.
-    #[test]
-    fn put_overwrite_pins_value_allocator() {
-        let mut kv = KvStore::new(Design::HostRpc, small_cfg());
-        let before = kv.value_bytes_used();
-        assert_eq!(before, 2000 * 256);
-        for i in 0..10_000u64 {
-            kv.put(Nanos::from_micros(i * 2), 7).unwrap();
-        }
-        assert_eq!(
-            kv.value_bytes_used(),
-            before,
-            "10k overwrites of one key must not allocate value slots"
-        );
-        assert_eq!(kv.len(), 2000);
-        // A genuinely fresh key still allocates exactly one slot.
-        kv.put(Nanos::from_micros(30_000), 1_000_000).unwrap();
-        assert_eq!(kv.value_bytes_used(), before + 256);
-    }
-
-    /// Regression: probe READs must walk the key's real chain — home
-    /// bucket, then `(home + hop) % n` — not offsets `0, 64, 128, ...`
-    /// from the start of the region as the pre-fix code posted.
-    #[test]
-    fn one_sided_probes_walk_the_real_chain() {
-        let cfg = KvConfig {
-            n_keys: 3500,
-            index_buckets: 1024,
-            ..small_cfg()
-        };
-        let kv = KvStore::new(Design::OneSidedSnic, cfg);
-        let mut multi_probe_seen = 0u32;
-        for k in 0..3500u64 {
-            let offs = kv.probe_offsets(k).unwrap();
-            let home = kv.index.home_bucket(k) as u64;
-            let n = kv.index.n_buckets() as u64;
-            for (hop, &off) in offs.iter().enumerate() {
-                assert_eq!(
-                    off,
-                    ((home + hop as u64) % n) * BUCKET_BYTES,
-                    "key {k} hop {hop}"
-                );
-                assert!(off + BUCKET_BYTES <= kv.index.region_len());
-            }
-            if offs.len() >= 2 {
-                multi_probe_seen += 1;
-                // A multi-probe chain homed off bucket 0 distinguishes
-                // the real chain from the pre-fix offsets.
-                let naive: Vec<u64> = (0..offs.len() as u64).map(|p| p * BUCKET_BYTES).collect();
-                if home != 0 {
-                    assert_ne!(offs, naive, "key {k}");
-                }
-            }
-        }
-        assert!(
-            multi_probe_seen > 0,
-            "workload must exercise multi-probe chains"
-        );
-    }
-
-    #[test]
-    fn store_len_matches_preload() {
-        let kv = KvStore::new(Design::HostRpc, small_cfg());
-        assert_eq!(kv.len(), 2000);
-        assert!(!kv.is_empty());
     }
 }

@@ -1,15 +1,11 @@
-//! Workload driving: closed-loop get runs over the four designs.
+//! The workload a KV stream offers: which keys it touches and how many
+//! of its ops are reads.
 //!
-//! The Figure 1 comparison table built on these runs lives in
-//! `snic-core`'s experiment layer (`experiments::kv_tables`), keeping
-//! this crate free of report dependencies so the cluster runtime can
-//! embed it.
-
-use simnet::rng::{SimRng, Zipf};
-use simnet::stats::Histogram;
-use simnet::time::Nanos;
-
-use crate::store::{Design, KvConfig, KvStore};
+//! The mixes are the classic cloud-serving ones the paper's motivating
+//! application would face: YCSB A (50/50 read/update), B (95/5) and C
+//! (read-only), each under uniform or Zipfian key choice. Read-heavy
+//! skewed mixes amplify the one-sided probe chains, while update-heavy
+//! mixes stress the RPC write path equally for every design.
 
 /// Key-access distribution.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -20,140 +16,48 @@ pub enum KeyDist {
     Zipf(f64),
 }
 
-/// Measured behaviour of one design under a get workload.
-#[derive(Debug, Clone)]
-pub struct KvRunStats {
-    /// Design measured.
-    pub design: Design,
-    /// Mean get latency.
-    pub mean_latency: Nanos,
-    /// p99 get latency.
-    pub p99_latency: Nanos,
-    /// Mean network round trips per get.
-    pub mean_trips: f64,
-    /// Gets per second for one closed-loop client.
-    pub gets_per_sec: f64,
+/// A standard YCSB mix.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mix {
+    /// 50% reads / 50% updates.
+    A,
+    /// 95% reads / 5% updates.
+    B,
+    /// 100% reads.
+    C,
 }
 
-/// Runs `n_ops` closed-loop gets against a fresh store of `design`.
-pub fn run_gets(design: Design, cfg: KvConfig, n_ops: u64, dist: KeyDist, seed: u64) -> KvRunStats {
-    let mut kv = KvStore::new(design, cfg);
-    let mut rng = SimRng::seed(seed);
-    let zipf = match dist {
-        KeyDist::Zipf(theta) => Some(Zipf::new(cfg.n_keys as usize, theta)),
-        KeyDist::Uniform => None,
-    };
-    let mut hist = Histogram::new();
-    let mut trips = 0u64;
-    let mut now = Nanos::ZERO;
-    for _ in 0..n_ops {
-        let key = match &zipf {
-            Some(z) => z.sample(&mut rng) as u64,
-            None => rng.uniform_u64(cfg.n_keys),
-        };
-        let r = kv.get(now, key).expect("preloaded keys exist");
-        hist.record(r.latency);
-        trips += r.network_trips as u64;
-        now = r.completed;
+impl Mix {
+    /// Fraction of operations that are reads.
+    pub fn read_fraction(self) -> f64 {
+        match self {
+            Mix::A => 0.5,
+            Mix::B => 0.95,
+            Mix::C => 1.0,
+        }
     }
-    KvRunStats {
-        design,
-        mean_latency: hist.mean(),
-        p99_latency: hist.percentile(99.0),
-        mean_trips: if n_ops == 0 {
-            0.0
-        } else {
-            trips as f64 / n_ops as f64
-        },
-        gets_per_sec: ops_per_sec(n_ops, now),
-    }
-}
 
-/// Closed-loop throughput, finite even when the run is empty or so
-/// short that no simulated time elapsed.
-pub(crate) fn ops_per_sec(n_ops: u64, elapsed: Nanos) -> f64 {
-    let secs = elapsed.as_secs_f64();
-    if secs > 0.0 {
-        n_ops as f64 / secs
-    } else {
-        0.0
+    /// Label ("A"/"B"/"C").
+    pub fn label(self) -> &'static str {
+        match self {
+            Mix::A => "A",
+            Mix::B => "B",
+            Mix::C => "C",
+        }
     }
+
+    /// All mixes.
+    pub const ALL: [Mix; 3] = [Mix::A, Mix::B, Mix::C];
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn cfg() -> KvConfig {
-        KvConfig {
-            n_keys: 3500,
-            index_buckets: 1024,
-            value_size: 256,
-            n_clients: 2,
-        }
-    }
-
     #[test]
-    fn amplified_one_sided_has_more_trips() {
-        let os = run_gets(Design::OneSidedSnic, cfg(), 300, KeyDist::Uniform, 1);
-        let of = run_gets(Design::SocIndex, cfg(), 300, KeyDist::Uniform, 1);
-        assert!(os.mean_trips > 1.5, "one-sided trips {}", os.mean_trips);
-        assert!((of.mean_trips - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn offload_wins_mean_latency_under_amplification() {
-        let os = run_gets(Design::OneSidedSnic, cfg(), 300, KeyDist::Uniform, 1);
-        let of = run_gets(Design::SocIndex, cfg(), 300, KeyDist::Uniform, 1);
-        assert!(
-            of.mean_latency < os.mean_latency,
-            "offload {} !< one-sided {}",
-            of.mean_latency,
-            os.mean_latency
-        );
-    }
-
-    #[test]
-    fn zipf_workload_runs() {
-        let s = run_gets(Design::HostRpc, cfg(), 200, KeyDist::Zipf(0.99), 3);
-        assert!(s.gets_per_sec > 0.0);
-        assert!(s.p99_latency >= s.mean_latency);
-    }
-
-    /// Degenerate run lengths must yield finite stats — the rate is a
-    /// division by elapsed simulated seconds, which is zero both for an
-    /// empty run and for any run whose ops all land at time zero.
-    #[test]
-    fn tiny_runs_have_finite_rates() {
-        for n_ops in [0u64, 1, 2, 3] {
-            let s = run_gets(Design::HostRpc, cfg(), n_ops, KeyDist::Uniform, 9);
-            assert!(
-                s.gets_per_sec.is_finite(),
-                "n_ops={n_ops} gets/s {}",
-                s.gets_per_sec
-            );
-            assert!(s.mean_trips.is_finite(), "n_ops={n_ops}");
-            if n_ops == 0 {
-                assert_eq!(s.gets_per_sec, 0.0);
-                assert_eq!(s.mean_trips, 0.0);
-            } else {
-                assert!(s.gets_per_sec > 0.0);
-            }
-        }
-    }
-
-    #[test]
-    fn zero_elapsed_time_rates_are_zero() {
-        assert_eq!(ops_per_sec(0, Nanos::ZERO), 0.0);
-        assert_eq!(ops_per_sec(100, Nanos::ZERO), 0.0);
-        assert!(ops_per_sec(100, Nanos::new(1)).is_finite());
-    }
-
-    #[test]
-    fn deterministic_runs() {
-        let a = run_gets(Design::SocIndex, cfg(), 100, KeyDist::Uniform, 5);
-        let b = run_gets(Design::SocIndex, cfg(), 100, KeyDist::Uniform, 5);
-        assert_eq!(a.mean_latency, b.mean_latency);
-        assert_eq!(a.gets_per_sec, b.gets_per_sec);
+    fn mix_fractions() {
+        assert_eq!(Mix::A.read_fraction(), 0.5);
+        assert_eq!(Mix::B.read_fraction(), 0.95);
+        assert_eq!(Mix::C.read_fraction(), 1.0);
     }
 }

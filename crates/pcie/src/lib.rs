@@ -18,13 +18,11 @@
 pub mod counters;
 pub mod credits;
 pub mod link;
-pub mod negotiate;
 pub mod switch;
 pub mod tlp;
 
 pub use counters::{LinkId, PcieCounters};
 pub use credits::{CreditGate, CreditPool};
 pub use link::{PcieGen, PcieLinkSpec};
-pub use negotiate::{negotiate, negotiate_path, DeviceCaps, Negotiated};
 pub use switch::SwitchSpec;
 pub use tlp::{completion_tlps, read_request_tlps, tlp_count, write_tlps, TlpBudget};

@@ -3,8 +3,9 @@
 //! Two layers:
 //!
 //! * [`verbs`] — the application-facing object model (Context / Pd / Mr /
-//!   Cq / Qp), used by the key-value store and the examples exactly the
-//!   way ibverbs would be;
+//!   Cq / Qp), used by the quickstart example the way ibverbs would be,
+//!   with the protection, QP-state, RNR and RC-recovery contract that
+//!   the failure-injection tests pin;
 //! * [`doorbell`] — the requester-side posting cost model behind the
 //!   paper's Advice #4 (when doorbell batching helps and when it hurts).
 

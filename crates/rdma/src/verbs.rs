@@ -1,12 +1,15 @@
 //! A verbs-like programming interface over the simulated fabric.
 //!
-//! Mirrors the ibverbs object model closely enough that the example
-//! applications (the key-value store, the offload scenarios) read like
-//! real RDMA code: a [`Context`] per device, [`Pd`] protection domains,
+//! Mirrors the ibverbs object model closely enough that code written
+//! against it (the quickstart example) reads like real RDMA code: a
+//! [`Context`] per device, [`Pd`] protection domains,
 //! [`Mr`] registered memory with bounds enforcement, [`Cq`] completion
 //! queues polled for [`Wc`] entries, and [`Qp`] queue pairs (RC for
 //! one-sided verbs, UD for two-sided) bound to one of the five
-//! communication paths.
+//! communication paths. It is the one place that enforces the verbs
+//! contract — protection, QP states, RNR and RC recovery — which
+//! `tests/failure_injection.rs` pins; the harness and the cluster
+//! runtime, which produce the figures, call the fabric directly.
 //!
 //! Because this is a simulator, posts carry the *simulated* time at which
 //! the application issues them and completions become pollable at their
@@ -18,7 +21,7 @@ use std::collections::BinaryHeap;
 use std::rc::Rc;
 
 use nicsim::{Completion, Endpoint, Fabric, PathKind, RequestDesc, Verb};
-use simnet::faults::fault_key;
+use simnet::faults::{drive_attempts, fault_key};
 use simnet::time::Nanos;
 
 use crate::doorbell::{PostCostModel, PostMode, PosterKind};
@@ -526,11 +529,20 @@ impl Qp {
                 });
             }
         }
-        // A SEND needs a posted receive on the responder. UD has no
-        // acknowledged recovery: the datagram is dropped and the post
-        // fails immediately. RC walks the RNR-NAK backoff ladder,
-        // retrying after exponentially growing delays until a receive
-        // appears or `rnr_retry` is exhausted (-> Error, as real HCAs).
+        let responder = self.path.responder();
+        if mr.location != responder {
+            return Err(RdmaError::LocationMismatch {
+                mr: mr.location,
+                path: responder,
+            });
+        }
+        let addr = mr.check(offset, len)?;
+        // Only a valid post may spend a receive. A SEND needs a posted
+        // receive on the responder. UD has no acknowledged recovery: the
+        // datagram is dropped and the post fails immediately. RC walks
+        // the RNR-NAK backoff ladder, retrying after exponentially
+        // growing delays until a receive appears or `rnr_retry` is
+        // exhausted (-> Error, as real HCAs).
         let mut start = now;
         if verb == Verb::Send {
             match self.qp_type {
@@ -555,14 +567,6 @@ impl Qp {
                 }
             }
         }
-        let responder = self.path.responder();
-        if mr.location != responder {
-            return Err(RdmaError::LocationMismatch {
-                mr: mr.location,
-                path: responder,
-            });
-        }
-        let addr = mr.check(offset, len)?;
         let wr_id = self.next_wr;
         self.next_wr += 1;
         let mut desc = RequestDesc::new(verb, self.path, len, addr, self.client);
@@ -570,49 +574,42 @@ impl Qp {
             desc = desc.with_inline();
         }
         let timing = if self.qp_type == QpType::Rc {
-            // RC reliability: each attempt burns full fabric resources
-            // (loss is detected at the far end or on the ack leg, after
-            // the frame has crossed every hop); the requester times out
-            // `rc.timeout` after the attempt and retransmits, up to
-            // `retry_cnt` retries before the QP faults to Error with no
-            // CQE — the application observes it via the Err return.
-            let mut attempt: u32 = 0;
-            let mut t = start;
-            loop {
-                self.rc_counters.attempts += 1;
-                let (att_timing, failed) = {
-                    let mut f = self.fabric.borrow_mut();
-                    f.apply_fault_windows(t);
-                    let att_timing = f.execute(t, desc);
-                    let failed = f
-                        .faults()
-                        .filter(|p| p.has_stochastic_faults())
-                        .map(|p| {
-                            p.attempt_fails(
-                                fault_key(&[self.qp_num, wr_id, u64::from(attempt)]),
-                                self.path.wire_crossings(),
-                                self.path.pcie1_crossings(),
-                            )
-                        })
-                        .unwrap_or(false);
-                    (att_timing, failed)
-                };
-                if !failed {
-                    break Completion {
-                        posted: now,
-                        ..att_timing
-                    };
-                }
-                if attempt >= self.rc.retry_cnt {
-                    self.rc_counters.retry_exhausted += 1;
-                    self.state = QpState::Error;
-                    return Err(RdmaError::RetryExceeded {
-                        attempts: attempt + 1,
+            // RC reliability on the shared retry engine: each attempt
+            // burns full fabric resources (loss is detected at the far
+            // end or on the ack leg, after the frame has crossed every
+            // hop); the requester times out `rc.timeout` after the
+            // attempt and retransmits, up to `retry_cnt` retries before
+            // the QP faults to Error with no CQE — the application
+            // observes it via the Err return.
+            let (fabric, path, qp_num) = (&self.fabric, self.path, self.qp_num);
+            let o = drive_attempts(start, self.rc.timeout, self.rc.retry_cnt, |t, attempt| {
+                let mut f = fabric.borrow_mut();
+                f.apply_fault_windows(t);
+                let timing = f.execute(t, desc);
+                let failed = f
+                    .faults()
+                    .filter(|p| p.has_stochastic_faults())
+                    .is_some_and(|p| {
+                        p.attempt_fails(
+                            fault_key(&[qp_num, wr_id, u64::from(attempt)]),
+                            path.wire_crossings(),
+                            path.pcie1_crossings(),
+                        )
                     });
-                }
-                self.rc_counters.retransmits += 1;
-                t += self.rc.timeout;
-                attempt += 1;
+                (timing, failed)
+            });
+            self.rc_counters.attempts += u64::from(o.retries) + 1;
+            self.rc_counters.retransmits += u64::from(o.retries);
+            if o.exhausted {
+                self.rc_counters.retry_exhausted += 1;
+                self.state = QpState::Error;
+                return Err(RdmaError::RetryExceeded {
+                    attempts: o.retries + 1,
+                });
+            }
+            Completion {
+                posted: now,
+                ..o.result
             }
         } else {
             let mut f = self.fabric.borrow_mut();

@@ -211,8 +211,9 @@ pub struct RetryOutcome<T> {
 /// roughly twice as often as path ① at equal corruption rates.
 ///
 /// This is the one retry engine shared by the single-machine harness,
-/// the cluster's path-③ streams, the KV value fetch and the far-memory
-/// tier, so the crossing cost model lands once.
+/// the cluster's path-③ streams, the KV value fetch, the far-memory
+/// tier and the RC queue pairs of the verbs API, so the crossing cost
+/// model lands once.
 pub fn drive_attempts<T>(
     start: Nanos,
     timeout: Nanos,

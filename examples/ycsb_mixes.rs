@@ -1,5 +1,6 @@
 //! YCSB-style mixed workloads across the four KV-store designs — where
-//! does SmartNIC offloading pay under realistic read/update mixes?
+//! does SmartNIC offloading pay under realistic read/update mixes? Each
+//! point is a one-client, one-server rack run of the KV service.
 //!
 //! Run with `cargo run --release --example ycsb_mixes`.
 
@@ -11,8 +12,11 @@ fn main() {
     println!("{}", ycsb_table(true, KeyDist::Zipf(0.99)).to_text());
     println!(
         "Reading the tables: the SoC-offloaded design holds a flat p99\n\
-         across mixes (one round trip regardless of index load), while\n\
-         the one-sided designs' tails grow with skew — the Figure 1\n\
-         story under production-like mixes."
+         across mixes and key distributions (one round trip regardless of\n\
+         index load), while the one-sided designs' tails follow their\n\
+         probe chains: updates (one host round trip) shorten them, and so\n\
+         does Zipf skew, because the hottest keys were loaded first and\n\
+         sit in their home buckets — the Figure 1 story under\n\
+         production-like mixes."
     );
 }

@@ -68,6 +68,12 @@ cargo run --release --offline -p snic-bench --bin run_all -- --only 17 --quick
 cargo run --release --offline -p snic-bench --bin run_all -- --only 18 --quick
 cargo run --release --offline -p snic-bench --bin run_all -- --only 19 --quick
 
+# Figure 1 runs on the rack KV service as well: smoke its table and the
+# two examples built on the same one-client, one-server helper.
+cargo run --release --offline -p snic-bench --bin run_all -- --only fig1_ --quick
+cargo run --release --offline -p offpath-smartnic --example kv_offload
+cargo run --release --offline -p offpath-smartnic --example ycsb_mixes
+
 # Repository benchmark smoke: snicbench's own tests, then every workload
 # at --seconds 0 (its minimum of three passes). snicbench exits 0 even
 # when a simulation fails its check, so each result line must report
@@ -83,4 +89,4 @@ for workload in rack_verbs rack_services harness_sweep; do
     fi
 done
 
-echo "ci.sh: build + tests + fmt + clippy (workspace and snicbench) + rustdoc + cluster determinism + golden digests + benchmark smoke all green (offline)"
+echo "ci.sh: build + tests + fmt + clippy (workspace and snicbench) + rustdoc + cluster determinism + golden digests + Figure-1 table and KV examples + benchmark smoke all green (offline)"

@@ -35,7 +35,7 @@ fn scenario_bit_identical_across_runs() {
     assert_eq!(a.counters.total_tlps(), b.counters.total_tlps());
 }
 
-/// Renders a scenario result exactly as the figure binaries do (a
+/// Renders a scenario result exactly as the figure runner does (a
 /// [`Table`] serialized to CSV), down to every formatted digit.
 fn result_csv(r: &ScenarioResult) -> String {
     let mut t = Table::new(
@@ -547,18 +547,13 @@ fn cluster_worker_count_invariance_farmem() {
 
 #[test]
 fn kvstore_deterministic() {
-    use offpath_smartnic::kvstore::{run_gets, Design, KeyDist, KvConfig};
-    let cfg = KvConfig {
-        n_keys: 2000,
-        index_buckets: 1024,
-        value_size: 128,
-        n_clients: 2,
-    };
-    let a = run_gets(Design::SocIndex, cfg, 200, KeyDist::Zipf(0.9), 11);
-    let b = run_gets(Design::SocIndex, cfg, 200, KeyDist::Zipf(0.9), 11);
+    use offpath_smartnic::kvstore::{Design, KeyDist, Mix};
+    use offpath_smartnic::study::experiments::kv_tables::kv_point;
+    let a = kv_point(Design::SocIndex, Mix::C, KeyDist::Zipf(0.9), true, 11);
+    let b = kv_point(Design::SocIndex, Mix::C, KeyDist::Zipf(0.9), true, 11);
     assert_eq!(a.mean_latency, b.mean_latency);
     assert_eq!(a.p99_latency, b.p99_latency);
-    assert_eq!(a.gets_per_sec, b.gets_per_sec);
+    assert_eq!(a.ops_per_sec.to_bits(), b.ops_per_sec.to_bits());
 }
 
 #[test]

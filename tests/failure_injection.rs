@@ -3,7 +3,7 @@
 //! exhaustion, state-machine misuse — plus a soak test that the stack
 //! stays sound under sustained randomized abuse.
 
-use offpath_smartnic::kvstore::{Design, HashIndex, IndexError, KvConfig, KvStore};
+use offpath_smartnic::kvstore::{HashIndex, IndexError};
 use offpath_smartnic::nicsim::{Endpoint, Fabric, PathKind};
 use offpath_smartnic::pcie::credits::{CreditGate, CreditPool};
 use offpath_smartnic::rdma::transport::QpState;
@@ -108,6 +108,44 @@ fn rnr_storms_do_not_wedge_the_qp() {
 }
 
 #[test]
+fn rejected_send_spends_no_receive() {
+    // A SEND that fails validation must leave the peer receive queue and
+    // the RNR ladder untouched.
+    let ctx = ctx();
+    let pd = ctx.alloc_pd();
+    let mr = pd.register_mr(Endpoint::Host, 0, 4096);
+    let cq = pd.create_cq();
+    let ready = |qp_type, recvs| {
+        let mut qp = pd.create_qp_reset(qp_type, PathKind::Snic1, 0, &cq, 4);
+        qp.modify(QpState::Init).unwrap();
+        qp.post_recv(recvs).unwrap();
+        qp.modify(QpState::Rtr).unwrap();
+        qp.modify(QpState::Rts).unwrap();
+        qp
+    };
+
+    // UD, one receive posted: the out-of-range SEND keeps it for the
+    // valid SEND that follows.
+    let mut ud = ready(QpType::Ud, 1);
+    assert!(matches!(
+        ud.post_send(Nanos::ZERO, &mr, 4096, 64),
+        Err(RdmaError::OutOfBounds { .. })
+    ));
+    assert!(ud.post_send(Nanos::from_micros(1), &mr, 0, 64).is_ok());
+
+    // RC, no receive posted: the bounds error surfaces without a single
+    // RNR NAK, and the QP stays usable.
+    let mut rc = ready(QpType::Rc, 0);
+    assert!(matches!(
+        rc.post_send(Nanos::ZERO, &mr, 4096, 64),
+        Err(RdmaError::OutOfBounds { .. })
+    ));
+    assert_eq!(rc.rc_counters().rnr_naks, 0);
+    assert_eq!(rc.state(), QpState::Rts);
+    assert_eq!(cq.pending(), 1, "only the valid UD SEND completes");
+}
+
+#[test]
 fn inline_abuse_rejected() {
     let ctx = ctx();
     let pd = ctx.alloc_pd();
@@ -146,19 +184,15 @@ fn index_exhaustion_is_clean() {
 
 #[test]
 fn kv_store_missing_and_stale_keys() {
-    let mut kv = KvStore::new(
-        Design::SocIndex,
-        KvConfig {
-            n_keys: 100,
-            index_buckets: 64,
-            value_size: 64,
-            n_clients: 1,
-        },
-    );
-    assert!(kv.get(Nanos::ZERO, 100_000).is_err());
-    // Put then get a brand-new key.
-    kv.put(Nanos::ZERO, 777_777).unwrap();
-    assert!(kv.get(Nanos::from_micros(50), 777_777).is_ok());
+    // The rack KV service serves from this index: a get of an absent key
+    // must fail its lookup, and a put of a fresh key must be readable.
+    let mut idx = HashIndex::new(64, 0);
+    for k in 0..100u64 {
+        idx.insert(k, k * 64, 64).unwrap();
+    }
+    assert_eq!(idx.lookup(100_000), Err(IndexError::NotFound));
+    idx.insert(777_777, 100 * 64, 64).unwrap();
+    assert_eq!(idx.lookup(777_777).unwrap().entry.value_addr, 100 * 64);
 }
 
 #[test]

@@ -199,15 +199,10 @@ fn headline_budget_rule() {
 /// amplification of the one-sided design.
 #[test]
 fn headline_kvstore_offload() {
-    use offpath_smartnic::kvstore::{run_gets, Design, KeyDist, KvConfig};
-    let cfg = KvConfig {
-        n_keys: 3500,
-        index_buckets: 1024,
-        value_size: 256,
-        n_clients: 2,
-    };
-    let os = run_gets(Design::OneSidedSnic, cfg, 300, KeyDist::Uniform, 1);
-    let of = run_gets(Design::SocIndex, cfg, 300, KeyDist::Uniform, 1);
+    use offpath_smartnic::kvstore::{Design, KeyDist, Mix};
+    use offpath_smartnic::study::experiments::kv_tables::kv_point;
+    let os = kv_point(Design::OneSidedSnic, Mix::C, KeyDist::Uniform, true, 1);
+    let of = kv_point(Design::SocIndex, Mix::C, KeyDist::Uniform, true, 1);
     assert!(os.mean_trips > 1.5);
     assert!((of.mean_trips - 1.0).abs() < 1e-9);
     assert!(of.mean_latency < os.mean_latency);

@@ -89,11 +89,6 @@ impl MemSystem {
         MemSystem::new(None, DramSim::new(DramSpec::soc_ddr4()), false)
     }
 
-    /// Whether DMA is served by the LLC (DDIO).
-    pub fn ddio_enabled(&self) -> bool {
-        self.ddio
-    }
-
     /// Enables or disables DDIO (ablation; disabling forces all DMA to
     /// DRAM as on machines with DDIO turned off).
     ///
@@ -147,21 +142,6 @@ impl MemSystem {
         let done = self.dma_access(now, addr, bytes, op);
         spans.record(simnet::metrics::Hop::Memory, now, done);
         done
-    }
-
-    /// A CPU-side access (used by the CPU core models for app logic).
-    pub fn cpu_access(&mut self, now: Nanos, addr: u64, bytes: u64, op: MemOp) -> Nanos {
-        if let Some(llc) = self.llc.as_mut() {
-            if op == MemOp::Write || llc.probe(addr, bytes) {
-                return llc.access(now, addr, bytes);
-            }
-        }
-        self.dram.access(now, addr, bytes, op)
-    }
-
-    /// The underlying DRAM model (for counters and tests).
-    pub fn dram(&self) -> &DramSim {
-        &self.dram
     }
 }
 
@@ -267,14 +247,5 @@ mod tests {
     #[should_panic(expected = "DDIO requires an LLC")]
     fn ddio_without_llc_rejected() {
         let _ = MemSystem::new(None, DramSim::new(DramSpec::soc_ddr4()), true);
-    }
-
-    #[test]
-    fn cpu_access_uses_llc_when_present() {
-        let mut host = MemSystem::host_like();
-        let t1 = host.cpu_access(Nanos::ZERO, 0x0, 64, MemOp::Write);
-        // A second access to the same line is an LLC hit and must be fast.
-        let t2 = host.cpu_access(t1, 0x0, 64, MemOp::Read);
-        assert!(t2 - t1 <= Nanos::new(20), "LLC hit too slow: {}", t2 - t1);
     }
 }

@@ -9,9 +9,31 @@
 //! The model is a real set-associative tag array with per-set LRU, plus a
 //! sliced bandwidth model (one server per LLC slice, addresses hashed
 //! across slices as on Xeon).
+//!
+//! Its host cost follows what an access touches, not the cache's size
+//! (DESIGN.md §4.3):
+//!
+//! * the tags live in one flat arena, `ways` per set with the
+//!   most-recently-used tag last, allocated on first touch in chunks of
+//!   64 sets behind a `u32`-per-chunk directory, so a machine that only
+//!   touches a few sets never pays for the rest;
+//! * an access walks its lines once and moves tags in place (a hit on the
+//!   MRU tag moves nothing), then reserves each slice once for all of its
+//!   lines with [`Server::reserve_run`], which leaves the slice exactly
+//!   as one reservation per line would.
+//!
+//! A per-line model, one `Vec` per set and one slice reservation per
+//! line, is kept in the tests as the lockstep oracle of this one.
 
 use simnet::resource::Server;
 use simnet::time::Nanos;
+
+/// Sets per lazily allocated chunk of the tag arena.
+const CHUNK_SETS: usize = 64;
+
+/// An empty way. Never a tag: tags are line numbers, at most
+/// `u64::MAX >> 1` since a line is at least 2 bytes.
+const EMPTY: u64 = u64::MAX;
 
 /// Static description of an LLC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,12 +71,6 @@ impl LlcSpec {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Set {
-    /// Tags, most-recently-used last. Length <= ways.
-    tags: Vec<u64>,
-}
-
 /// A stateful LLC simulator.
 ///
 /// # Examples
@@ -71,30 +87,46 @@ struct Set {
 #[derive(Debug, Clone)]
 pub struct LlcSim {
     spec: LlcSpec,
-    sets: Vec<Set>,
+    /// `log2(spec.line)`: an address's line is `addr >> line_shift`.
+    line_shift: u32,
+    sets: usize,
+    /// Per chunk of [`CHUNK_SETS`] sets: 0 while no access has touched
+    /// it, else 1 + the chunk's position in `tags`.
+    chunks: Vec<u32>,
+    /// The touched chunks back to back. Each set is `ways` tags, least
+    /// recently used first, with its empty ways ([`EMPTY`]) in front.
+    tags: Vec<u64>,
     slices: Vec<Server>,
     hits: u64,
     misses: u64,
 }
 
 impl LlcSim {
-    /// Creates an empty cache.
+    /// Creates an empty cache. It holds no tag storage until an access
+    /// touches a set.
     ///
     /// # Panics
     ///
-    /// Panics if the spec implies zero sets or has zero ways/slices.
+    /// Panics if the spec implies zero sets, has zero ways/slices, or
+    /// has a line that is not a power of two of at least 2 bytes.
     pub fn new(spec: LlcSpec) -> Self {
-        assert!(spec.ways > 0 && spec.slices > 0, "degenerate LLC");
+        assert!(
+            spec.ways > 0 && spec.slices > 0 && spec.line >= 2 && spec.line.is_power_of_two(),
+            "degenerate LLC"
+        );
         let sets = spec.sets();
         assert!(sets > 0, "LLC smaller than one set");
+        let chunks = sets.div_ceil(CHUNK_SETS as u64);
+        assert!(
+            chunks <= u64::from(u32::MAX),
+            "LLC set count exceeds the chunk directory"
+        );
         LlcSim {
             spec,
-            sets: vec![
-                Set {
-                    tags: Vec::with_capacity(spec.ways as usize)
-                };
-                sets as usize
-            ],
+            line_shift: spec.line.trailing_zeros(),
+            sets: sets as usize,
+            chunks: vec![0; chunks as usize],
+            tags: Vec::new(),
             slices: vec![Server::new(); spec.slices as usize],
             hits: 0,
             misses: 0,
@@ -106,26 +138,19 @@ impl LlcSim {
         &self.spec
     }
 
-    fn line_of(&self, addr: u64) -> u64 {
-        addr / self.spec.line
-    }
-
-    fn set_of(&self, line: u64) -> usize {
-        (line % self.sets.len() as u64) as usize
-    }
-
-    fn slice_of(&self, line: u64) -> usize {
-        // Xeon hashes physical addresses across slices; consecutive lines
-        // land on consecutive slices, which simple interleaving captures.
-        (line % self.slices.len() as u64) as usize
-    }
-
     /// Whether the first line of `[addr, addr+bytes)` is resident, without
     /// touching LRU state.
     pub fn probe(&self, addr: u64, _bytes: u64) -> bool {
-        let line = self.line_of(addr);
-        let set = &self.sets[self.set_of(line)];
-        set.tags.contains(&line)
+        let line = addr >> self.line_shift;
+        let set = (line % self.sets as u64) as usize;
+        let ways = self.spec.ways as usize;
+        match self.chunks[set / CHUNK_SETS] {
+            0 => false,
+            id => {
+                let start = self.set_start(id, set);
+                self.tags[start..start + ways].contains(&line)
+            }
+        }
     }
 
     /// Accesses (and allocates) `[addr, addr+bytes)`, reserving slice
@@ -133,37 +158,84 @@ impl LlcSim {
     ///
     /// # Panics
     ///
-    /// Panics if `bytes == 0`.
+    /// Panics if `bytes == 0` or the access runs past `u64::MAX`.
     pub fn access(&mut self, now: Nanos, addr: u64, bytes: u64) -> Nanos {
         assert!(bytes > 0, "zero-byte LLC access");
-        let first = self.line_of(addr);
-        let last = self.line_of(addr + bytes - 1);
-        let mut done = now;
-        for line in first..=last {
-            self.touch(line);
-            let slice = self.slice_of(line);
-            let res = self.slices[slice].reserve(now, self.spec.t_line);
-            done = done.max(res.finish + self.spec.t_hit);
-        }
-        done
+        let end = addr
+            .checked_add(bytes - 1)
+            .expect("LLC access past the end of the address space");
+        let first = addr >> self.line_shift;
+        let lines = (end >> self.line_shift) - first + 1;
+        self.touch(first, lines);
+        self.reserve_slices(now, first, lines)
     }
 
-    fn touch(&mut self, line: u64) {
+    /// Index in `tags` of `set`'s first way, in the chunk with directory
+    /// entry `id`.
+    fn set_start(&self, id: u32, set: usize) -> usize {
         let ways = self.spec.ways as usize;
-        let set_idx = self.set_of(line);
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.tags.iter().position(|&t| t == line) {
-            // Hit: move to MRU position.
-            let t = set.tags.remove(pos);
-            set.tags.push(t);
-            self.hits += 1;
-        } else {
-            if set.tags.len() == ways {
-                set.tags.remove(0); // evict LRU
+        ((id as usize - 1) * CHUNK_SETS + set % CHUNK_SETS) * ways
+    }
+
+    /// Looks up and LRU-updates `lines` consecutive lines from `first`.
+    fn touch(&mut self, first: u64, lines: u64) {
+        let ways = self.spec.ways as usize;
+        let (mut hits, mut misses) = (0, 0);
+        let mut set = (first % self.sets as u64) as usize;
+        for line in first..first + lines {
+            let chunk = set / CHUNK_SETS;
+            if self.chunks[chunk] == 0 {
+                self.tags.resize(self.tags.len() + CHUNK_SETS * ways, EMPTY);
+                self.chunks[chunk] = (self.tags.len() / (CHUNK_SETS * ways)) as u32;
             }
-            set.tags.push(line);
-            self.misses += 1;
+            let start = self.set_start(self.chunks[chunk], set);
+            // Put `line` in the MRU way and push the tags below it down
+            // one way, down to the way that held `line` (a hit) or past
+            // way 0, evicting its LRU tag or empty way (a miss). A hit on
+            // the MRU tag moves nothing.
+            let mut carry = line;
+            for way in self.tags[start..start + ways].iter_mut().rev() {
+                carry = std::mem::replace(way, carry);
+                if carry == line {
+                    break;
+                }
+            }
+            if carry == line {
+                hits += 1;
+            } else {
+                misses += 1;
+            }
+            set += 1;
+            if set == self.sets {
+                set = 0;
+            }
         }
+        self.hits += hits;
+        self.misses += misses;
+    }
+
+    /// Reserves every slice once for its share of `lines` consecutive
+    /// lines from `first`. Line `l` lives on slice `l % slices`: Xeon
+    /// hashes physical addresses across slices, and consecutive lines
+    /// landing on consecutive slices captures that. All lines are issued
+    /// at `now`, so a slice serves its share back to back, exactly as one
+    /// reservation per line would. Returns when the last line is served
+    /// plus the hit latency.
+    fn reserve_slices(&mut self, now: Nanos, first: u64, lines: u64) -> Nanos {
+        let n_slices = self.slices.len() as u64;
+        let (per, extra) = (lines / n_slices, lines % n_slices);
+        let mut slice = (first % n_slices) as usize;
+        let mut done = now;
+        for i in 0..lines.min(n_slices) {
+            let n = per + u64::from(i < extra);
+            let run = self.slices[slice].reserve_run(now, self.spec.t_line, n);
+            done = done.max(run.finish + self.spec.t_hit);
+            slice += 1;
+            if slice == self.slices.len() {
+                slice = 0;
+            }
+        }
+        done
     }
 
     /// Hits observed so far.
@@ -180,6 +252,65 @@ impl LlcSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simnet::prop::{check, Gen};
+    use simnet::prop_assert_eq;
+
+    /// The per-line model `LlcSim` replaced, kept as its lockstep
+    /// oracle: one `Vec` of tags per set (MRU last), a linear search and
+    /// a `remove`/`push` per line, and one slice reservation per line.
+    struct PerLineLlc {
+        spec: LlcSpec,
+        sets: Vec<Vec<u64>>,
+        slices: Vec<Server>,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl PerLineLlc {
+        fn new(spec: LlcSpec) -> Self {
+            PerLineLlc {
+                spec,
+                sets: vec![Vec::new(); spec.sets() as usize],
+                slices: vec![Server::new(); spec.slices as usize],
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn set_of(&self, line: u64) -> usize {
+            (line % self.sets.len() as u64) as usize
+        }
+
+        fn probe(&self, addr: u64, _bytes: u64) -> bool {
+            let line = addr / self.spec.line;
+            self.sets[self.set_of(line)].contains(&line)
+        }
+
+        fn access(&mut self, now: Nanos, addr: u64, bytes: u64) -> Nanos {
+            let first = addr / self.spec.line;
+            let last = (addr + bytes - 1) / self.spec.line;
+            let mut done = now;
+            for line in first..=last {
+                let set_idx = self.set_of(line);
+                let set = &mut self.sets[set_idx];
+                if let Some(pos) = set.iter().position(|&t| t == line) {
+                    let t = set.remove(pos);
+                    set.push(t);
+                    self.hits += 1;
+                } else {
+                    if set.len() == self.spec.ways as usize {
+                        set.remove(0);
+                    }
+                    set.push(line);
+                    self.misses += 1;
+                }
+                let slice = (line % self.slices.len() as u64) as usize;
+                let res = self.slices[slice].reserve(now, self.spec.t_line);
+                done = done.max(res.finish + self.spec.t_hit);
+            }
+            done
+        }
+    }
 
     fn tiny_spec() -> LlcSpec {
         LlcSpec {
@@ -190,6 +321,40 @@ mod tests {
             t_hit: Nanos::new(10),
             t_line: Nanos::new(2),
         }
+    }
+
+    /// A small random spec: at most 200 sets (up to four chunks, the
+    /// last one often partial, and half the time a set count at a chunk
+    /// edge), so long accesses wrap the set array many times, with a
+    /// slice count that need not divide the set count.
+    fn random_tiny_spec(g: &mut Gen) -> LlcSpec {
+        let ways = g.u32(1..9);
+        let line = [32, 64, 128][g.usize(0..3)];
+        let sets = if g.bool() {
+            [1, 63, 64, 65, 128, 129][g.usize(0..6)]
+        } else {
+            g.u64(1..201)
+        };
+        LlcSpec {
+            capacity: sets * u64::from(ways) * line + g.u64(0..line),
+            ways,
+            line,
+            slices: g.u32(1..8),
+            t_hit: Nanos::new(g.u64(0..20)),
+            t_line: Nanos::new(g.u64(0..4)),
+        }
+    }
+
+    /// A size from 1 to `max` bytes whose binary order of magnitude is
+    /// uniform.
+    fn size_up_to(g: &mut Gen, max: u64) -> u64 {
+        let log = g.u64(0..64 - u64::from(max.leading_zeros()));
+        1 + g.u64(0..1 << log)
+    }
+
+    /// Chunks of the tag arena allocated so far.
+    fn chunks_allocated(llc: &LlcSim) -> usize {
+        llc.chunks.iter().filter(|&&id| id != 0).count()
     }
 
     #[test]
@@ -255,10 +420,120 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "LLC access past the end of the address space")]
+    fn access_past_the_address_space_rejected() {
+        LlcSim::new(LlcSpec::xeon_like()).access(Nanos::from_micros(1), u64::MAX - 10, 64);
+    }
+
+    #[test]
+    fn access_ending_at_the_top_of_the_address_space() {
+        let mut llc = LlcSim::new(LlcSpec::xeon_like());
+        llc.access(Nanos::ZERO, u64::MAX - 63, 64);
+        assert_eq!(llc.misses(), 1);
+        assert!(llc.probe(u64::MAX, 1));
+    }
+
+    #[test]
     fn xeon_spec_sane() {
         let s = LlcSpec::xeon_like();
         assert!(s.sets() > 10_000);
         let llc = LlcSim::new(s);
         assert!(!llc.probe(12345 * 64, 64));
+    }
+
+    #[test]
+    fn tag_storage_is_allocated_per_touched_chunk() {
+        let line = LlcSpec::xeon_like().line;
+        let llc = LlcSim::new(LlcSpec::xeon_like());
+        assert_eq!(llc.tags.capacity(), 0, "a new cache holds no tags");
+        assert!(std::mem::size_of_val(&llc.chunks[..]) < 2 << 10);
+
+        let mut one = llc.clone();
+        one.access(Nanos::ZERO, 0, 64);
+        assert_eq!(chunks_allocated(&one), 1);
+
+        // Sets 32..96: the second half of chunk 0, the first of chunk 1.
+        let mut two = llc;
+        two.access(Nanos::ZERO, 32 * line, 4096);
+        assert_eq!(chunks_allocated(&two), 2);
+        let ways = LlcSpec::xeon_like().ways as usize;
+        assert_eq!(two.tags.len(), 2 * CHUNK_SETS * ways);
+    }
+
+    /// Drives `LlcSim` and the per-line oracle with the same random
+    /// accesses, 1 B to 4 MiB at a rising `now`: raw accesses (DDIO
+    /// writes) and reads that access only when `probe` hits (the
+    /// `MemSystem::dma_access` rule), then probes across each touched
+    /// span. Finish times, counters, probe verdicts and slice state
+    /// must agree.
+    #[test]
+    fn lockstep_matches_per_line_oracle() {
+        check("llc_lockstep_matches_per_line_oracle", |g| {
+            let spec = if g.bool() {
+                LlcSpec::xeon_like()
+            } else {
+                random_tiny_spec(g)
+            };
+            let mut fast = LlcSim::new(spec);
+            let mut slow = PerLineLlc::new(spec);
+            let mut now = Nanos::ZERO;
+            let mut spans: Vec<(u64, u64)> = Vec::new();
+            for step in 0..g.usize(1..160) {
+                now += Nanos::new(g.u64(0..300));
+                let (addr, bytes) = match g.u64(0..8) {
+                    // Anywhere, 1 B to 4 MiB.
+                    0 => {
+                        let bytes = size_up_to(g, 4 << 20);
+                        let addr = if g.bool() {
+                            g.u64(0..2 * spec.capacity)
+                        } else {
+                            g.any_u64()
+                        };
+                        (addr.min(u64::MAX - (bytes - 1)), bytes)
+                    }
+                    // Part of a recent span, near its end where its
+                    // lines are most likely still resident.
+                    1 | 2 if !spans.is_empty() => {
+                        let (a, b) = spans[spans.len() - 1 - g.usize(0..spans.len().min(4))];
+                        let len = size_up_to(g, b);
+                        let back = g.u64(0..(b - len).min(len) + 1);
+                        (a + b - len - back, len)
+                    }
+                    // Up to a line among 1.5 x ways tags that compete for
+                    // two sets: hits at every LRU position, and evictions.
+                    _ => {
+                        let tag = g.u64(0..u64::from(spec.ways) * 3 / 2 + 1);
+                        let at = tag * spec.sets() * spec.line + g.u64(0..2 * spec.line);
+                        (at, size_up_to(g, spec.line))
+                    }
+                };
+                if g.bool() {
+                    let resident = fast.probe(addr, bytes);
+                    prop_assert_eq!(resident, slow.probe(addr, bytes), "read probe, step {step}");
+                    if !resident {
+                        continue;
+                    }
+                }
+                spans.push((addr, bytes));
+                let done = fast.access(now, addr, bytes);
+                prop_assert_eq!(done, slow.access(now, addr, bytes), "finish, step {step}");
+                prop_assert_eq!(
+                    (fast.hits(), fast.misses()),
+                    (slow.hits, slow.misses),
+                    "hits and misses, step {step}"
+                );
+                for k in 0..=16 {
+                    let a = addr + (bytes - 1) * k / 16;
+                    prop_assert_eq!(fast.probe(a, 1), slow.probe(a, 1), "probe {a:#x}");
+                }
+            }
+            for (f, s) in fast.slices.iter().zip(&slow.slices) {
+                prop_assert_eq!(
+                    (f.next_free(), f.busy_time(), f.served()),
+                    (s.next_free(), s.busy_time(), s.served())
+                );
+            }
+            Ok(())
+        });
     }
 }

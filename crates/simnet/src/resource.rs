@@ -64,6 +64,28 @@ impl Server {
         Reservation { start, finish }
     }
 
+    /// Reserves `n` requests of `service` each, all arriving at
+    /// `arrival`, in one step. The server ends exactly as after `n`
+    /// back-to-back [`Server::reserve`] calls: the requests run end to
+    /// end from `max(arrival, next_free)`, and busy time and the served
+    /// count grow by `n · service` and `n`. Returns the first request's
+    /// start and the last one's finish.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`, leaving the server untouched.
+    #[inline]
+    pub fn reserve_run(&mut self, arrival: Nanos, service: Nanos, n: u64) -> Reservation {
+        assert!(n > 0, "a reservation run needs at least one request");
+        let start = arrival.max(self.next_free);
+        let total = service * n;
+        let finish = start + total;
+        self.next_free = finish;
+        self.busy += total;
+        self.served += n;
+        Reservation { start, finish }
+    }
+
     /// The earliest instant a new request could begin service.
     pub fn next_free(&self) -> Nanos {
         self.next_free
@@ -372,6 +394,47 @@ mod tests {
         assert_eq!(r3.start, Nanos::new(500));
         assert_eq!(s.served(), 3);
         assert_eq!(s.busy_time(), Nanos::new(300));
+    }
+
+    #[test]
+    fn reserve_run_matches_back_to_back_reserves() {
+        crate::prop::check("reserve_run_matches_back_to_back_reserves", |g| {
+            let mut run = Server::new();
+            for _ in 0..g.usize(0..8) {
+                run.reserve(Nanos::new(g.u64(0..1_000)), Nanos::new(g.u64(0..100)));
+            }
+            let mut each = run.clone();
+            let (arrival, service) = (Nanos::new(g.u64(0..1_500)), Nanos::new(g.u64(0..50)));
+            let n = g.u64(1..64);
+            let got = run.reserve_run(arrival, service, n);
+            let first = each.reserve(arrival, service);
+            let mut last = first;
+            for _ in 1..n {
+                last = each.reserve(arrival, service);
+            }
+            crate::prop_assert_eq!((got.start, got.finish), (first.start, last.finish));
+            crate::prop_assert_eq!(run.next_free(), each.next_free());
+            crate::prop_assert_eq!(run.busy_time(), each.busy_time());
+            crate::prop_assert_eq!(run.served(), each.served());
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn empty_reserve_run_panics_and_leaves_the_server() {
+        let mut s = Server::new();
+        s.reserve(Nanos::new(3), Nanos::new(7));
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            s.reserve_run(Nanos::ZERO, Nanos::new(5), 0)
+        }))
+        .expect_err("n = 0 must panic");
+        let msg = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+        assert_eq!(msg, Some("a reservation run needs at least one request"));
+        assert_eq!(s.next_free(), Nanos::new(10));
+        assert_eq!((s.busy_time(), s.served()), (Nanos::new(7), 1));
     }
 
     #[test]

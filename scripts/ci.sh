@@ -58,6 +58,21 @@ if ! grep -q "5 passed" <<<"$golden_out"; then
     exit 1
 fi
 
+# The host LLC must stay exact: its lockstep property test drives the
+# flat, lazily allocated tag arena and the per-line oracle it replaced
+# with the same accesses. Run it by name and refuse a run where the
+# filter matched anything else.
+llc_out=$(cargo test --release --offline -p memsys --lib lockstep_matches_per_line_oracle 2>&1) || {
+    echo "$llc_out"
+    echo "ci.sh: LLC lockstep oracle test FAILED" >&2
+    exit 1
+}
+if ! grep -q "ok. 1 passed" <<<"$llc_out"; then
+    echo "$llc_out"
+    echo "ci.sh: expected exactly llc::tests::lockstep_matches_per_line_oracle (filtered out or renamed?)" >&2
+    exit 1
+fi
+
 # Smoke the cluster runtime end to end through its example, and the
 # fault-injection, open-loop, KV-service, far-memory and BF-3 DPA
 # sweeps through the figure runner.
@@ -89,4 +104,4 @@ for workload in rack_verbs rack_services harness_sweep; do
     fi
 done
 
-echo "ci.sh: build + tests + fmt + clippy (workspace and snicbench) + rustdoc + cluster determinism + golden digests + Figure-1 table and KV examples + benchmark smoke all green (offline)"
+echo "ci.sh: build + tests + fmt + clippy (workspace and snicbench) + rustdoc + cluster determinism + golden digests + LLC lockstep oracle (lockstep_matches_per_line_oracle) + Figure-1 table and KV examples + benchmark smoke all green (offline)"

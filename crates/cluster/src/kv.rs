@@ -110,21 +110,13 @@ pub struct KvStreamSpec {
     pub value_size: u32,
     /// Index buckets *per server shard*.
     pub index_buckets: usize,
-    /// Host cores reserved for KV serving (scarce by design — the
-    /// paper's premise is that host cores are the precious resource).
-    pub host_cores: usize,
-    /// SoC cores serving when the index is offloaded.
-    pub soc_cores: usize,
     /// Placement mode.
     pub placement: KvPlacement,
-    /// Online re-decision period (ignored for static placements).
-    pub decision_every: Nanos,
 }
 
 impl KvStreamSpec {
-    /// Paper-shaped defaults: 20k keys, 256 B values, a loaded index
-    /// (multi-probe chains appear), two reserved host cores, all eight
-    /// BlueField-2 SoC cores, 50 µs decision epochs.
+    /// Paper-shaped defaults: 20k keys, 256 B values and a loaded index
+    /// (multi-probe chains appear).
     pub fn new(mix: Mix, dist: KeyDist, placement: KvPlacement) -> Self {
         KvStreamSpec {
             mix,
@@ -132,10 +124,7 @@ impl KvStreamSpec {
             n_keys: 20_000,
             value_size: 256,
             index_buckets: 4096,
-            host_cores: 2,
-            soc_cores: 8,
             placement,
-            decision_every: Nanos::from_micros(50),
         }
     }
 
@@ -148,18 +137,6 @@ impl KvStreamSpec {
     /// Overrides the value size.
     pub fn with_value_size(mut self, bytes: u32) -> Self {
         self.value_size = bytes;
-        self
-    }
-
-    /// Overrides the reserved host serving cores.
-    pub fn with_host_cores(mut self, cores: usize) -> Self {
-        self.host_cores = cores.max(1);
-        self
-    }
-
-    /// Overrides the re-decision period.
-    pub fn with_decision_every(mut self, period: Nanos) -> Self {
-        self.decision_every = period.max(Nanos::new(1));
         self
     }
 }
@@ -175,6 +152,14 @@ pub fn kv_home_server(key: u64, n_servers: usize) -> usize {
     (z % n_servers as u64) as usize
 }
 
+/// Host cores reserved for KV serving on each server (scarce by design:
+/// the paper's premise is that host cores are the precious resource).
+pub const KV_HOST_CORES: usize = 2;
+/// SoC cores serving when the index is offloaded: 8 SoC cores, all of a
+/// BlueField-2's and half of a BlueField-3's.
+pub const KV_SOC_CORES: usize = 8;
+/// Online re-decision period (unused by static placements).
+pub const KV_DECISION_EVERY: Nanos = Nanos::from_micros(50);
 /// Base address of a server shard's KV value region.
 pub const KV_VALUES_BASE: u64 = 1 << 32;
 /// Base address of a server shard's KV index region.
@@ -293,8 +278,6 @@ pub(crate) struct KvServer {
     pub design: Design,
     /// Online policy, if placement is dynamic.
     pub policy: Option<KvPolicy>,
-    /// Re-decision period.
-    pub decision_every: Nanos,
     /// Host serving cores (scarce pool).
     pub host_pool: MultiServer,
     /// SoC serving cores.
@@ -364,9 +347,8 @@ impl KvServer {
             next_value,
             design,
             policy,
-            decision_every: spec.decision_every,
-            host_pool: MultiServer::new(spec.host_cores.max(1)),
-            soc_pool: MultiServer::new(spec.soc_cores.max(1)),
+            host_pool: MultiServer::new(KV_HOST_CORES),
+            soc_pool: MultiServer::new(KV_SOC_CORES),
             dpa,
             bank_free: [Nanos::ZERO; SOC_BANKS],
             host_svc,

@@ -13,7 +13,7 @@ use simnet::faults::FaultSpec;
 use simnet::metrics::Registry;
 use simnet::rng::SimRng;
 use simnet::stats::{Histogram, LatencySummary};
-use simnet::time::{Bandwidth, Nanos, Rate};
+use simnet::time::{measured_window, Bandwidth, Nanos, Rate};
 use snic_farmem::{FmPlacement, FmStreamSpec};
 use snic_kvstore::Design;
 use topology::ClusterSpec;
@@ -37,9 +37,8 @@ pub struct ClusterStream {
     pub verb: Verb,
     /// Payload bytes.
     pub payload: u64,
-    /// Base of the target address region.
-    pub addr_base: u64,
-    /// Size of the target address region (random offsets within).
+    /// Size of the target address region, which starts at address 0
+    /// (random offsets within).
     pub addr_range: u64,
     /// Client machine indices issuing this stream (empty for path 3).
     pub clients: Vec<usize>,
@@ -87,7 +86,6 @@ impl ClusterStream {
             path,
             verb,
             payload,
-            addr_base: 0,
             addr_range: 1 << 30,
             clients,
             threads_per_client: poster.default_threads(),
@@ -370,11 +368,13 @@ impl ClusterResult {
 ///
 /// # Panics
 ///
-/// Panics if the scenario names a missing server, a stream references a
-/// missing client machine (or lists none for a remote path), a
-/// SmartNIC path targets a server without a SmartNIC, or a KV placement
-/// other than host RPC or one-sided READs meets a server without one.
+/// Panics if the warmup ends after the run, the scenario names a
+/// missing server, a stream references a missing client machine (or
+/// lists none for a remote path), a SmartNIC path targets a server
+/// without a SmartNIC, or a KV placement other than host RPC or
+/// one-sided READs meets a server without one.
 pub fn run_cluster(scenario: &ClusterScenario, streams: &[ClusterStream]) -> ClusterResult {
+    let window = measured_window(scenario.warmup, scenario.duration);
     let n_clients = scenario.cluster.clients.len();
     let n_servers = scenario.cluster.servers.len();
     assert!(
@@ -408,7 +408,7 @@ pub fn run_cluster(scenario: &ClusterScenario, streams: &[ClusterStream]) -> Clu
         .collect();
     let mut switch = SwitchFabric::new(&scenario.cluster.wire, &nic_bws);
     switch.set_faults(scenario.faults.clone());
-    let wire_faulty = scenario.faults.wire_loss > 0.0 || scenario.faults.wire_corrupt > 0.0;
+    let wire_faulty = scenario.faults.wire_loss > 0.0;
     let any_stochastic = wire_faulty || scenario.faults.pcie_corrupt > 0.0;
 
     // Every shard's RNG is forked from the root by shard index, so the
@@ -598,7 +598,6 @@ pub fn run_cluster(scenario: &ClusterScenario, streams: &[ClusterStream]) -> Clu
 
     // Merge per-stream aggregates and counters in shard-index order —
     // another fixed order, independent of the worker count.
-    let window = scenario.duration - scenario.warmup;
     let wsecs = window.as_secs_f64();
     let results: Vec<ClusterStreamResult> = streams
         .iter()
@@ -1085,6 +1084,15 @@ mod tests {
     #[should_panic(expected = "local far memory")]
     fn local_farmem_rejects_clients() {
         let _ = ClusterStream::fm_service(FmStreamSpec::new(FmPlacement::LocalSoc), vec![0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "warmup (300.000us) exceeds duration (200.000us)")]
+    fn warmup_past_the_run_is_rejected() {
+        let mut sc = tiny().with_workers(1);
+        (sc.warmup, sc.duration) = (Nanos::from_micros(300), Nanos::from_micros(200));
+        let st = ClusterStream::new(PathKind::Snic1, Verb::Read, 64, vec![0]);
+        run_cluster(&sc, &[st]);
     }
 
     #[test]

@@ -34,7 +34,7 @@ use simnet::stats::Histogram;
 use simnet::time::Nanos;
 
 use crate::fm::{FmHost, FmServer};
-use crate::kv::KvServer;
+use crate::kv::{KvServer, KV_DECISION_EVERY};
 use crate::msg::{MsgKind, NetMsg, ShardId};
 use crate::scenario::ClusterStream;
 
@@ -160,7 +160,6 @@ struct LocalStream {
     verb: Verb,
     path: PathKind,
     payload: u64,
-    addr_base: u64,
     addr_range: u64,
     cpu_cost: Nanos,
     threads: Vec<LocalThread>,
@@ -175,15 +174,13 @@ impl LocalStream {
     /// user's home line, a closed-loop post a random line of the range.
     fn addr(&mut self, thread: u16, user: Option<u64>) -> u64 {
         if self.addr_range < ADDR_ALIGN {
-            return self.addr_base;
+            return 0;
         }
         match user {
-            Some(u) => user_home_addr(u, self.addr_base, self.addr_range, ADDR_ALIGN),
-            None => self.threads[thread as usize].rng.addr_in_range(
-                self.addr_base,
-                self.addr_range,
-                ADDR_ALIGN,
-            ),
+            Some(u) => user_home_addr(u, 0, self.addr_range, ADDR_ALIGN),
+            None => self.threads[thread as usize]
+                .rng
+                .addr_in_range(0, self.addr_range, ADDR_ALIGN),
         }
     }
 
@@ -558,7 +555,6 @@ impl Shard {
             verb: stream.verb,
             path: stream.path,
             payload: stream.payload,
-            addr_base: stream.addr_base,
             addr_range: stream.addr_range,
             cpu_cost,
             threads,
@@ -592,7 +588,7 @@ impl Shard {
     pub(crate) fn install_kv_server(&mut self, kv: KvServer) {
         if kv.policy.is_some() {
             self.engine
-                .schedule(kv.decision_every, Ev::KvEpoch)
+                .schedule(KV_DECISION_EVERY, Ev::KvEpoch)
                 .expect("first KV epoch is in the future");
         }
         self.server_mut().kv = Some(kv);

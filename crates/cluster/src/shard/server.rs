@@ -2,7 +2,7 @@
 //! running the path-3 streams that never leave it.
 
 use memsys::MemOp;
-use nicsim::client::{wire_bytes, wire_frames};
+use nicsim::client::wire_bytes;
 use nicsim::server::pipeline_out;
 use nicsim::{Endpoint, Fabric, RequestDesc, ServerMachine, Verb};
 use rdma_sim::transport::RecvQueue;
@@ -16,7 +16,10 @@ use snic_kvstore::{Design, BUCKET_BYTES};
 
 use super::{fm_host, next_id, Ev, Io, Issue};
 use crate::fm::{fm_global_page, FmServer};
-use crate::kv::{KvServer, KV_HOST_PROBE, KV_PUT_EXTRA, KV_SOC_PROBE, SOC_BANKS, SOC_BANK_HOLD};
+use crate::kv::{
+    KvServer, KV_DECISION_EVERY, KV_HOST_PROBE, KV_PUT_EXTRA, KV_SOC_PROBE, SOC_BANKS,
+    SOC_BANK_HOLD,
+};
 use crate::msg::{FmRespKind, KvOp, KvRespKind, MsgKind, ShardId};
 
 /// Receive-queue depth used by the responder's echo loop (the paper's
@@ -261,11 +264,11 @@ impl Server {
         drained: Nanos,
     ) {
         self.fabric.apply_fault_windows(now);
-        let win =
-            self.fabric
-                .server
-                .wire
-                .reserve(Dir::Fwd, now, wire_bytes(bytes), wire_frames(bytes));
+        let win = self
+            .fabric
+            .server
+            .wire
+            .reserve(Dir::Fwd, now, wire_bytes(bytes));
         let rx = Rx {
             start: win.start,
             ready: win.finish.max(drained),
@@ -344,7 +347,7 @@ impl Server {
             .fabric
             .server
             .wire
-            .reserve(Dir::Rev, at, wire_bytes(len), wire_frames(len));
+            .reserve(Dir::Rev, at, wire_bytes(len));
         io.outbox.push(from, wout.start, len, reply);
     }
 
@@ -585,7 +588,7 @@ impl Server {
             kv.design_changes += 1;
             kv.design = next;
         }
-        eng.schedule(now + kv.decision_every, Ev::KvEpoch)
+        eng.schedule(now + KV_DECISION_EVERY, Ev::KvEpoch)
             .expect("next epoch is in the future");
     }
 }

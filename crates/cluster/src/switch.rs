@@ -15,7 +15,7 @@ use simnet::time::Nanos;
 use topology::WireSpec;
 
 use crate::msg::NetMsg;
-use nicsim::client::{wire_bytes, wire_frames};
+use nicsim::client::wire_bytes;
 
 /// One machine's switch attachment: `ports` pipes per direction.
 struct PortGroup {
@@ -120,8 +120,7 @@ impl SwitchFabric {
     /// Panics if the message names an unknown shard.
     pub fn route(&mut self, m: &NetMsg) -> Option<Delivery> {
         let bytes = wire_bytes(m.bytes);
-        let frames = wire_frames(m.bytes);
-        let up = pick(&mut self.groups[m.src].up).reserve(m.depart, bytes, frames);
+        let up = pick(&mut self.groups[m.src].up).reserve(m.depart, bytes);
         if let Some(plane) = self.faults.as_ref() {
             if plane.has_stochastic_faults()
                 && plane.wire_verdict(fault_key(&[m.src as u64, m.seq]), 0)
@@ -130,8 +129,7 @@ impl SwitchFabric {
                 return None;
             }
         }
-        let down =
-            pick(&mut self.groups[m.dst].down).reserve(up.start + self.latency, bytes, frames);
+        let down = pick(&mut self.groups[m.dst].down).reserve(up.start + self.latency, bytes);
         self.routed += 1;
         Some(Delivery {
             arrive: down.start,

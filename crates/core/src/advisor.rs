@@ -124,37 +124,6 @@ impl OffloadAdvisor {
         }
     }
 
-    /// Advice #1, trace-based: analyses a recorded access trace against
-    /// the SoC DRAM mapping and flags patterns whose hottest bank would
-    /// cap throughput below 50% of the plateau.
-    pub fn check_skew_trace(&self, trace: &memsys::AccessTrace) -> Finding {
-        let ceiling = trace.skew_ceiling(&self.spec.soc.dram);
-        if ceiling < 0.5 {
-            let sev = if ceiling < 0.2 {
-                Severity::Severe
-            } else {
-                Severity::Degraded
-            };
-            return Finding {
-                advice: 1,
-                severity: sev,
-                message: format!(
-                    "trace concentrates on few DRAM banks: predicted ceiling {:.0}% of the                      wide-range plateau (Fig 7); spread the {} B footprint",
-                    ceiling * 100.0,
-                    trace.footprint()
-                ),
-            };
-        }
-        Finding {
-            advice: 1,
-            severity: Severity::Ok,
-            message: format!(
-                "trace spreads well (ceiling {:.0}% of plateau)",
-                ceiling * 100.0
-            ),
-        }
-    }
-
     /// Advice #2: the READ payload above which the SoC path head-of-line
     /// blocks (9 MB on Bluefield-2).
     pub fn read_collapse_threshold(&self) -> u64 {
@@ -353,22 +322,6 @@ mod tests {
         assert_eq!(f.severity, Severity::Ok);
         let f = a.check_skew(Endpoint::Host, Verb::Write, 1536);
         assert_eq!(f.severity, Severity::Ok, "DDIO host is immune");
-    }
-
-    #[test]
-    fn trace_based_skew_check() {
-        use memsys::{AccessTrace, MemOp};
-        let a = OffloadAdvisor::bluefield2();
-        let mut hot = AccessTrace::new();
-        for i in 0..64u64 {
-            hot.record((i % 24) * 64, 64, MemOp::Write);
-        }
-        assert_eq!(a.check_skew_trace(&hot).severity, Severity::Severe);
-        let mut wide = AccessTrace::new();
-        for i in 0..64u64 {
-            wide.record(i * 8192, 64, MemOp::Write);
-        }
-        assert_eq!(a.check_skew_trace(&wide).severity, Severity::Ok);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use simnet::faults::{drive_attempts, fault_key, FaultSpec};
 use simnet::metrics::{CounterId, Hop, HopBreakdown, Registry};
 use simnet::rng::SimRng;
 use simnet::stats::{Histogram, LatencySummary, RateMeter};
-use simnet::time::{Bandwidth, Nanos, Rate};
+use simnet::time::{measured_window, Bandwidth, Nanos, Rate};
 use simnet::trace::{TraceCat, TraceRing};
 
 /// Which responder machine a scenario runs against.
@@ -71,9 +71,8 @@ pub struct StreamSpec {
     pub verb: Verb,
     /// Payload bytes.
     pub payload: u64,
-    /// Base of the target address region.
-    pub addr_base: u64,
-    /// Size of the target address region (random offsets within).
+    /// Size of the target address region, which starts at address 0
+    /// (random offsets within).
     pub addr_range: u64,
     /// Requester machines used (client indices; ignored for path 3).
     pub clients: Vec<usize>,
@@ -96,10 +95,9 @@ pub struct StreamSpec {
 impl StreamSpec {
     /// A stream over `n_clients` requester machines with the path's
     /// paper-default threads, window and posting mode (see
-    /// [`PosterKind::default_threads`]), targeting a 10 GB region (§2.4
-    /// uses 10 GB of randomly addressed memory... scaled to 1 GB here to
-    /// bound memory tracking; the range only matters at the small end,
-    /// Figure 7).
+    /// [`PosterKind::default_threads`]), targeting a 1 GiB region. §2.4
+    /// randomly addresses 10 GB; 1 GiB bounds memory tracking, and the
+    /// range only matters at the small end (Figure 7).
     pub fn new(path: PathKind, verb: Verb, payload: u64, n_clients: usize) -> Self {
         let poster = PosterKind::for_path(path);
         StreamSpec {
@@ -107,7 +105,6 @@ impl StreamSpec {
             path,
             verb,
             payload,
-            addr_base: 0,
             addr_range: 1 << 30,
             clients: (0..n_clients).collect(),
             threads_per_client: poster.default_threads(),
@@ -188,11 +185,9 @@ pub struct Scenario {
     pub trace_cap: usize,
     /// Fault-injection schedule. The default ([`FaultSpec::none`]) is
     /// inert: no fault plane is installed and the run is byte-identical
-    /// to one that never heard of faults.
+    /// to one that never heard of faults. Stochastic faults retry under
+    /// [`RcParams::default`]'s ack timeout and retry budget.
     pub faults: FaultSpec,
-    /// Transport reliability parameters used by the closed-loop driver
-    /// when stochastic faults are active (ack timeout and retry budget).
-    pub rc: RcParams,
 }
 
 impl Default for Scenario {
@@ -206,7 +201,6 @@ impl Default for Scenario {
             metrics: false,
             trace_cap: 0,
             faults: FaultSpec::none(),
-            rc: RcParams::default(),
         }
     }
 }
@@ -244,12 +238,6 @@ impl Scenario {
     /// Installs a fault-injection schedule.
     pub fn with_faults(mut self, faults: FaultSpec) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Overrides the transport reliability parameters.
-    pub fn with_rc(mut self, rc: RcParams) -> Self {
-        self.rc = rc;
         self
     }
 }
@@ -371,15 +359,6 @@ impl ScenarioResult {
         self.counters.total_tlp_rate(self.window)
     }
 
-    /// TLP throughput on the SmartNIC's PCIe channels (PCIe1 + PCIe0) —
-    /// the quantity the paper's hardware counters report (Fig 8b/9b).
-    pub fn nic_tlp_rate(&self) -> Rate {
-        Rate::per_sec(
-            (self.counters.tlps(LinkId::Pcie1) + self.counters.tlps(LinkId::Pcie0)) as f64
-                / self.window.as_secs_f64().max(1e-12),
-        )
-    }
-
     /// Data-bearing TLP throughput on the SmartNIC's PCIe channels —
     /// matches Table 3's simplified model (control packets omitted).
     pub fn nic_data_tlp_rate(&self) -> Rate {
@@ -429,8 +408,9 @@ struct Ev {
 ///
 /// # Panics
 ///
-/// Panics if a stream references a missing client machine, or a SmartNIC
-/// path is run against the RNIC server.
+/// Panics if the warmup ends after the run, a stream references a
+/// missing client machine, or a SmartNIC path is run against the RNIC
+/// server.
 pub fn run_scenario(scenario: &Scenario, streams: &[StreamSpec]) -> ScenarioResult {
     run_scenario_detailed(scenario, streams).0
 }
@@ -441,6 +421,7 @@ pub fn run_scenario_detailed(
     scenario: &Scenario,
     streams: &[StreamSpec],
 ) -> (ScenarioResult, Fabric) {
+    let window = measured_window(scenario.warmup, scenario.duration);
     let mut fabric = scenario.server.fabric(scenario.n_clients);
     let mut root_rng = SimRng::seed(scenario.seed);
 
@@ -491,7 +472,7 @@ pub fn run_scenario_detailed(
     // so a default scenario runs the exact same instruction stream as
     // one with `faults` explicitly set to `FaultSpec::none()`.
     fabric.set_faults(scenario.faults.clone());
-    let rc = scenario.rc;
+    let rc = RcParams::default();
 
     // Metrics registry and trace ring (no-ops unless opted in).
     let metrics_on = scenario.metrics;
@@ -564,9 +545,9 @@ pub fn run_scenario_detailed(
         }
         let align = 64;
         let addr = if spec.addr_range >= align {
-            th.rng.addr_in_range(spec.addr_base, spec.addr_range, align)
+            th.rng.addr_in_range(0, spec.addr_range, align)
         } else {
-            spec.addr_base
+            0
         };
         let client = if spec.path.is_remote() {
             spec.clients[ev.thread / spec.threads_per_client]
@@ -726,7 +707,6 @@ pub fn run_scenario_detailed(
     });
 
     let counters = fabric.server.counters().delta_since(&snap);
-    let window = scenario.duration - scenario.warmup;
     let wsecs = window.as_secs_f64();
     let breakdown = if metrics_on {
         states
@@ -812,6 +792,17 @@ pub fn measure_throughput(path: PathKind, verb: Verb, payload: u64) -> StreamRes
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "warmup (300.000us) exceeds duration (200.000us)")]
+    fn warmup_past_the_run_is_rejected() {
+        let sc = Scenario {
+            warmup: Nanos::from_micros(300),
+            duration: Nanos::from_micros(200),
+            ..Scenario::latency()
+        };
+        run_scenario(&sc, &[StreamSpec::new(PathKind::Snic1, Verb::Read, 64, 1)]);
+    }
 
     #[test]
     fn latency_run_single_request_window() {

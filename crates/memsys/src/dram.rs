@@ -155,16 +155,6 @@ impl DramSim {
         ((addr / self.spec.stripe_bytes) % self.spec.channels as u64) as usize
     }
 
-    fn bank_of(&self, addr: u64) -> (usize, u64) {
-        // Row index within the channel's address space; consecutive rows
-        // interleave across banks.
-        let row = addr / self.spec.row_bytes;
-        let ch = self.channel_of(addr);
-        let bank_in_ch = (row % self.spec.banks_per_channel as u64) as usize;
-        let global = ch * self.spec.banks_per_channel as usize + bank_in_ch;
-        (global, row)
-    }
-
     /// Serves one access of `bytes` at `addr` arriving at `now`; returns
     /// the completion time.
     ///
@@ -214,37 +204,13 @@ impl DramSim {
         bytes: u64,
         op: MemOp,
     ) -> Nanos {
-        let beats = bytes.div_ceil(64);
-        let chres = self.channels[ch].reserve(now, bytes, beats);
-        let mut done = chres.finish;
+        let mut done = self.channels[ch].reserve(now, bytes).finish;
         let mut remaining = bytes;
         let mut cursor = ch_addr;
         let row_bytes = self.spec.row_bytes;
         while remaining > 0 {
-            let off = cursor % row_bytes;
-            let seg = remaining.min(row_bytes - off);
-            let row = cursor / row_bytes;
-            let bank_idx = ch * self.spec.banks_per_channel as usize
-                + (row % self.spec.banks_per_channel as u64) as usize;
-            let seg_beats = seg.div_ceil(64);
-            let mut occupancy = self.spec.t_burst * seg_beats;
-            match self.spec.policy {
-                PagePolicy::Closed => {
-                    occupancy += self.spec.t_activate + self.spec.t_precharge;
-                }
-                PagePolicy::Open => {
-                    let bank = &mut self.banks[bank_idx];
-                    if bank.open_row != Some(row) {
-                        occupancy += self.spec.t_activate + self.spec.t_precharge;
-                        bank.open_row = Some(row);
-                    }
-                }
-            }
-            if op == MemOp::Write {
-                occupancy += self.spec.t_write_recovery;
-            }
-            let res = self.banks[bank_idx].server.reserve(now, occupancy);
-            done = done.max(res.finish);
+            let seg = remaining.min(row_bytes - cursor % row_bytes);
+            done = done.max(self.occupy_bank(now, ch, cursor / row_bytes, seg, op));
             cursor += seg;
             remaining -= seg;
         }
@@ -252,33 +218,34 @@ impl DramSim {
     }
 
     fn access_row_segment(&mut self, now: Nanos, addr: u64, bytes: u64, op: MemOp) -> Nanos {
-        let (bank_idx, row) = self.bank_of(addr);
-        let ch_idx = self.channel_of(addr);
-        let beats = bytes.div_ceil(64);
-        let burst = self.spec.t_burst * beats;
-
-        let bank = &mut self.banks[bank_idx];
-        let mut occupancy = burst;
-        match self.spec.policy {
-            PagePolicy::Closed => {
-                occupancy += self.spec.t_activate + self.spec.t_precharge;
-            }
-            PagePolicy::Open => {
-                if bank.open_row != Some(row) {
-                    occupancy += self.spec.t_activate + self.spec.t_precharge;
-                    bank.open_row = Some(row);
-                }
-            }
-        }
-        if op == MemOp::Write {
-            occupancy += self.spec.t_write_recovery;
-        }
-        let bank_res = bank.server.reserve(now, occupancy);
+        let ch = self.channel_of(addr);
+        let bank_done = self.occupy_bank(now, ch, addr / self.spec.row_bytes, bytes, op);
         // The data burst also occupies the channel bus. The bank reservation
         // already includes the burst time, so the completion is the later
         // of bank-done and channel-done.
-        let ch_res = self.channels[ch_idx].reserve(now, bytes, beats);
-        bank_res.finish.max(ch_res.finish)
+        bank_done.max(self.channels[ch].reserve(now, bytes).finish)
+    }
+
+    /// Reserves the bank holding row `row` of channel `ch` for `bytes`
+    /// and returns when the bank is done: the bursts, activate plus
+    /// precharge on a closed page or a row miss, and write recovery on a
+    /// write. Consecutive rows interleave across the channel's banks.
+    fn occupy_bank(&mut self, now: Nanos, ch: usize, row: u64, bytes: u64, op: MemOp) -> Nanos {
+        let spec = &self.spec;
+        let banks = spec.banks_per_channel as usize;
+        let bank = &mut self.banks[ch * banks + (row % banks as u64) as usize];
+        let mut occupancy = spec.t_burst * bytes.div_ceil(64);
+        let activate = match spec.policy {
+            PagePolicy::Closed => true,
+            PagePolicy::Open => bank.open_row.replace(row) != Some(row),
+        };
+        if activate {
+            occupancy += spec.t_activate + spec.t_precharge;
+        }
+        if op == MemOp::Write {
+            occupancy += spec.t_write_recovery;
+        }
+        bank.server.reserve(now, occupancy).finish
     }
 
     /// Peak streaming bandwidth across all channels (useful for asserts).

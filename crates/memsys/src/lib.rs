@@ -21,13 +21,11 @@
 
 pub mod dram;
 pub mod llc;
-pub mod traceanalysis;
 
 use simnet::time::Nanos;
 
 pub use dram::{DramSim, DramSpec, PagePolicy};
 pub use llc::{LlcSim, LlcSpec};
-pub use traceanalysis::{AccessRecord, AccessTrace};
 
 /// Kind of memory access issued by a DMA engine or CPU.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -24,11 +24,6 @@ pub fn wire_bytes(payload: u64) -> u64 {
     payload + frames * WIRE_HDR_BYTES
 }
 
-/// Number of network frames for a message carrying `payload` bytes.
-pub fn wire_frames(payload: u64) -> u64 {
-    payload.div_ceil(NET_MTU).max(1)
-}
-
 /// A requester machine.
 pub struct ClientMachine {
     spec: MachineSpec,
@@ -104,24 +99,16 @@ impl ClientMachine {
             let mem_done = self
                 .mem
                 .dma_access(pu_out + lat, 0, fetch_payload, MemOp::Read);
-            let p = self.pcie.reserve(
-                Dir::Rev,
-                mem_done,
-                fetch_payload,
-                fetch_payload.div_ceil(self.spec.host.pcie.mps),
-            );
+            let p = self.pcie.reserve(Dir::Rev, mem_done, fetch_payload);
             let busy = self.nic.dma_read_fixed + p.finish.saturating_sub(pu_out);
             self.dma.reserve(pu_out, busy);
             p.finish + lat
         } else {
             pu_out
         };
-        let w = self.wire.reserve(
-            Dir::Fwd,
-            data_at_nic,
-            wire_bytes(wire_payload),
-            wire_frames(wire_payload),
-        );
+        let w = self
+            .wire
+            .reserve(Dir::Fwd, data_at_nic, wire_bytes(wire_payload));
         w.start
     }
 
@@ -129,23 +116,17 @@ impl ClientMachine {
     /// `inbound_payload` bytes (READ data; 0 otherwise). Returns the
     /// instant the requester CPU observes the completion.
     pub fn complete(&mut self, arrive: Nanos, inbound_payload: u64) -> Nanos {
-        let w = self.wire.reserve(
-            Dir::Rev,
-            arrive,
-            wire_bytes(inbound_payload),
-            wire_frames(inbound_payload),
-        );
+        let w = self
+            .wire
+            .reserve(Dir::Rev, arrive, wire_bytes(inbound_payload));
         // RX capacity was prepaid at issue time; only pipeline latency
         // applies here.
         let pu_out = w.start + crate::server::PU_PIPE_LAT;
         let lat = self.mem_latency();
         let delivered = if inbound_payload > 0 {
-            let p = self.pcie.reserve(
-                Dir::Fwd,
-                pu_out.max(w.finish),
-                inbound_payload,
-                inbound_payload.div_ceil(self.spec.host.pcie.mps),
-            );
+            let p = self
+                .pcie
+                .reserve(Dir::Fwd, pu_out.max(w.finish), inbound_payload);
             let busy = self.nic.dma_write_fixed + p.finish.saturating_sub(pu_out);
             self.dma.reserve(pu_out, busy);
             self.mem
@@ -172,8 +153,6 @@ mod tests {
         assert_eq!(wire_bytes(0), WIRE_HDR_BYTES);
         assert_eq!(wire_bytes(100), 100 + WIRE_HDR_BYTES);
         assert_eq!(wire_bytes(8192), 8192 + 2 * WIRE_HDR_BYTES);
-        assert_eq!(wire_frames(0), 1);
-        assert_eq!(wire_frames(4097), 2);
     }
 
     #[test]
@@ -230,9 +209,9 @@ mod tests {
         // Reserve known transfers directly on the wire pipes; the busy
         // fraction must equal each reservation's service time over the
         // horizon (the old code reported scaled item counts instead).
-        let fwd = c.wire.reserve(Dir::Fwd, Nanos::ZERO, 40_000, 1);
-        let rev1 = c.wire.reserve(Dir::Rev, Nanos::ZERO, 40_000, 1);
-        let rev2 = c.wire.reserve(Dir::Rev, rev1.finish, 40_000, 1);
+        let fwd = c.wire.reserve(Dir::Fwd, Nanos::ZERO, 40_000);
+        let rev1 = c.wire.reserve(Dir::Rev, Nanos::ZERO, 40_000);
+        let rev2 = c.wire.reserve(Dir::Rev, rev1.finish, 40_000);
         let horizon = Nanos::new(10_000);
         let u = c.utilization(horizon);
         assert_eq!(u[0], 0.0, "PU pool untouched");

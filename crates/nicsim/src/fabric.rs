@@ -4,14 +4,13 @@
 //! resource and returns its timing milestones. Closed-loop load
 //! generation on top of this lives in `snic-core::harness`.
 
-use memsys::MemOp;
 use simnet::faults::{FaultPlane, FaultSpec};
 use simnet::metrics::{Hop, HopBreakdown};
 use simnet::resource::{Dir, Reservation};
 use simnet::time::Nanos;
 use topology::{ClusterSpec, MachineSpec, WireSpec};
 
-use crate::client::{wire_bytes, wire_frames, ClientMachine};
+use crate::client::{wire_bytes, ClientMachine};
 use crate::request::{Completion, Endpoint, PathKind, RequestDesc, Verb};
 use crate::server::{pipeline_out, ServerMachine};
 
@@ -28,28 +27,6 @@ pub struct Fabric {
     /// Fault-injection plane (`None` = healthy hardware; inert specs
     /// never install one, keeping the healthy path byte-identical).
     faults: Option<FaultPlane>,
-}
-
-/// A request/response exchange handled by a processor on the server
-/// machine — the building block for RPC-style applications such as the
-/// key-value store of Figure 1.
-#[derive(Debug, Clone, Copy)]
-pub struct RpcOp {
-    /// Communication path carrying the exchange (a remote path).
-    pub path: PathKind,
-    /// Issuing client machine.
-    pub client: usize,
-    /// Request payload (client to server).
-    pub request_bytes: u64,
-    /// Response payload (server to client).
-    pub response_bytes: u64,
-    /// Handler CPU time beyond the base per-message cost (application
-    /// logic, e.g. an index lookup).
-    pub handler_extra: Nanos,
-    /// Bytes the handler fetches from the *other* endpoint's memory over
-    /// path 3 before responding (e.g. the SoC reading a value from host
-    /// memory in the offloaded KV design), if any.
-    pub fetch_other_endpoint: Option<u64>,
 }
 
 impl Fabric {
@@ -76,11 +53,6 @@ impl Fabric {
     pub fn rnic_testbed(n_clients: usize) -> Self {
         let c = ClusterSpec::rnic_testbed();
         Fabric::new(c.servers[0], n_clients, c.wire)
-    }
-
-    /// The interconnect spec.
-    pub fn wire_spec(&self) -> &WireSpec {
-        &self.wire
     }
 
     /// Enables or disables per-request latency attribution. Off by
@@ -138,59 +110,6 @@ impl Fabric {
         (c, bd)
     }
 
-    /// Executes an RPC exchange posted at `posted`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `op.path` is not a remote path, or the fetch requires a
-    /// SmartNIC the server lacks.
-    pub fn execute_rpc(&mut self, posted: Nanos, op: RpcOp) -> Completion {
-        assert!(op.path.is_remote(), "RPCs originate at client machines");
-        self.server.spans_mut().clear();
-        let ep = op.path.responder();
-        let win = self.send_request(posted, op.client, op.request_bytes, op.request_bytes);
-        let pu = self.server.reserve_pu(win.start, ep);
-        let pu_out = pipeline_out(&pu);
-        // Deliver the request into the responder's memory.
-        let delivered = self
-            .server
-            .dma(pu_out, ep, MemOp::Write, 0, op.request_bytes, true)
-            .data_ready
-            .max(win.finish);
-        // Handler: base message handling plus application logic.
-        let mut done = self.server.handle_message(delivered, ep) + op.handler_extra;
-        // Optional path-3 fetch from the other memory.
-        if let Some(bytes) = op.fetch_other_endpoint {
-            let other = match ep {
-                Endpoint::Host => Endpoint::Soc,
-                Endpoint::Soc => Endpoint::Host,
-            };
-            done = self
-                .server
-                .intra_dma(done, ep, other, ep, 0, 0, bytes)
-                .data_ready;
-        }
-        // Response: the NIC DMA-reads the response from the responder's
-        // memory and sends it back.
-        let resp_pu = self.server.reserve_pu(done, ep);
-        let resp_ready = self
-            .server
-            .dma(
-                pipeline_out(&resp_pu),
-                ep,
-                MemOp::Read,
-                0,
-                op.response_bytes,
-                true,
-            )
-            .data_ready;
-        Completion {
-            posted,
-            nic_start: pu.start,
-            completed: self.send_reply(resp_ready, op.client, op.response_bytes),
-        }
-    }
-
     /// The request leg of a remote exchange: doorbell, client NIC
     /// (fetching `fetch` bytes of payload from client memory, 0 when
     /// inlined), then the wire into the server (cut-through at the
@@ -210,12 +129,10 @@ impl Fabric {
         let nic_seen = posted + client.mmio_transit();
         let depart = client.issue(nic_seen, fetch, outbound);
         let arrive = depart + self.wire.one_way_latency;
-        let win = self.server.wire.reserve(
-            Dir::Fwd,
-            arrive,
-            wire_bytes(outbound),
-            wire_frames(outbound),
-        );
+        let win = self
+            .server
+            .wire
+            .reserve(Dir::Fwd, arrive, wire_bytes(outbound));
         let sp = self.server.spans_mut();
         sp.record(Hop::Post, posted, nic_seen);
         sp.record(Hop::ClientNic, nic_seen, depart);
@@ -227,10 +144,10 @@ impl Fabric {
     /// server at `ready`, cross the wire and complete at the client.
     /// Returns the completion instant.
     fn send_reply(&mut self, ready: Nanos, client: usize, inbound: u64) -> Nanos {
-        let wout =
-            self.server
-                .wire
-                .reserve(Dir::Rev, ready, wire_bytes(inbound), wire_frames(inbound));
+        let wout = self
+            .server
+            .wire
+            .reserve(Dir::Rev, ready, wire_bytes(inbound));
         let back = wout.start + self.wire.one_way_latency;
         let client = self
             .clients

@@ -27,7 +27,7 @@ pub mod request;
 pub mod server;
 
 pub use client::ClientMachine;
-pub use fabric::{Fabric, RpcOp};
+pub use fabric::Fabric;
 pub use onpath::{OnPathNic, OnPathSpec};
 pub use request::{Completion, Endpoint, PathKind, RequestDesc, Verb};
 pub use server::{DmaLeg, DpaServe, DpaStats, ServerMachine};

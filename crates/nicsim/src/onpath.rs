@@ -16,7 +16,7 @@ use simnet::resource::{Dir, DuplexPipe, MultiServer, Reservation};
 use simnet::time::{Bandwidth, Nanos};
 use topology::NicSpec;
 
-use crate::server::{pipeline_out, PU_PIPE_LAT};
+use crate::server::pipeline_out;
 
 /// Static description of an on-path SmartNIC.
 #[derive(Debug, Clone, Copy)]
@@ -81,7 +81,7 @@ impl OnPathNic {
         let out = pipeline_out(&pu);
         let p = self
             .host_pcie
-            .reserve(Dir::Fwd, out + self.spec.host_latency, bytes.max(1), 1);
+            .reserve(Dir::Fwd, out + self.spec.host_latency, bytes.max(1));
         self.served_host += 1;
         (pu.start, p.finish + self.spec.host_latency)
     }
@@ -93,7 +93,7 @@ impl OnPathNic {
         let out = pipeline_out(&pu);
         let m = self
             .onboard
-            .reserve(Dir::Fwd, out + self.spec.onboard_latency, bytes.max(1), 1);
+            .reserve(Dir::Fwd, out + self.spec.onboard_latency, bytes.max(1));
         self.served_inline += 1;
         (pu.start, m.finish + self.spec.onboard_latency)
     }
@@ -103,11 +103,6 @@ impl OnPathNic {
     pub fn run_offloaded(&mut self, arrive: Nanos, cpu_time: Nanos) -> Reservation {
         self.offload_cycles += cpu_time;
         self.pus.reserve(arrive, cpu_time)
-    }
-
-    /// Pipeline latency constant (re-exported for tests).
-    pub fn pipe_latency() -> Nanos {
-        PU_PIPE_LAT
     }
 
     /// Host requests served.

@@ -105,6 +105,97 @@ struct DpaPlane {
     stats: DpaStats,
 }
 
+/// The hops a SmartNIC DMA leg crosses: PCIe1 from the NIC cores, the
+/// switch, then the far link (PCIe0 to the host, the attach to the SoC)
+/// and the memory behind it. Host and SoC legs differ only in the far
+/// link, its latency to memory and the memory.
+struct ViaSwitch<'a> {
+    /// PCIe1 hop latency, NIC cores to the switch.
+    hop1: Nanos,
+    /// Switch crossing latency.
+    crossing: Nanos,
+    pcie1: &'a mut DuplexPipe,
+    far: &'a mut DuplexPipe,
+    far_link: LinkId,
+    far_latency: Nanos,
+    mem: &'a mut MemSystem,
+    counters: &'a mut PcieCounters,
+    spans: &'a mut SpanSet,
+}
+
+impl ViaSwitch<'_> {
+    /// Reserves `bytes` down PCIe1 from `start` and records its span and
+    /// the switch crossing behind it. The far link can start one hop and
+    /// one crossing after the returned reservation starts (cut-through).
+    fn down_pcie1(&mut self, start: Nanos, bytes: u64) -> Reservation {
+        let r = self.pcie1.reserve(Dir::Fwd, start, bytes);
+        let at_switch = r.start + self.hop1;
+        self.spans
+            .record(LinkId::Pcie1.hop(), r.start, r.finish.max(at_switch));
+        self.spans
+            .record(Hop::Switch, at_switch, at_switch + self.crossing);
+        r
+    }
+
+    /// A posted write of `tlps` data TLPs (`wire_bytes` with headers).
+    /// Returns when the data is in memory and both links have drained.
+    fn write(mut self, start: Nanos, addr: u64, bytes: u64, tlps: u64, wire_bytes: u64) -> Nanos {
+        self.counters
+            .count(LinkId::Pcie1, CountDir::Down, tlps, bytes);
+        self.counters
+            .count(self.far_link, CountDir::Down, tlps, bytes);
+        let p1 = self.down_pcie1(start, wire_bytes);
+        let far = self
+            .far
+            .reserve(Dir::Fwd, p1.start + self.hop1 + self.crossing, wire_bytes);
+        let mem_arrive = far.start + self.far_latency;
+        self.spans
+            .record(self.far_link.hop(), far.start, far.finish.max(mem_arrive));
+        let mem_done =
+            self.mem
+                .dma_access_spanned(mem_arrive, addr, bytes, MemOp::Write, self.spans);
+        mem_done.max(far.finish).max(p1.finish)
+    }
+
+    /// A read: `req_tlps` request TLPs go down, memory serves the stream
+    /// from `mem_arrive`, and `cpl_tlps` completions cut back through the
+    /// far link, the switch and PCIe1. Returns when the data is at the
+    /// NIC.
+    fn read(
+        mut self,
+        start: Nanos,
+        mem_arrive: Nanos,
+        addr: u64,
+        bytes: u64,
+        req_tlps: u64,
+        cpl_tlps: u64,
+    ) -> Nanos {
+        for link in [LinkId::Pcie1, self.far_link] {
+            self.counters.count(link, CountDir::Down, req_tlps, 0);
+            self.counters.count(link, CountDir::Up, cpl_tlps, bytes);
+        }
+        let hop = self.hop1 + self.crossing;
+        let rq = self.down_pcie1(start, req_tlps * CTRL_TLP_BYTES);
+        self.spans
+            .record(self.far_link.hop(), rq.start + hop, mem_arrive);
+        let mem_done =
+            self.mem
+                .dma_access_spanned(mem_arrive, addr, bytes, MemOp::Read, self.spans);
+        let cpl_bytes = bytes + cpl_tlps * TLP_OVERHEAD_BYTES;
+        let far = self
+            .far
+            .reserve(Dir::Rev, mem_arrive + FIRST_CHUNK_LAT, cpl_bytes);
+        let drained = far.finish.max(mem_done);
+        self.spans.record(self.far_link.hop(), far.start, drained);
+        self.spans
+            .record(Hop::Switch, drained, drained + self.crossing);
+        let p1 = self.pcie1.reserve(Dir::Rev, far.start + hop, cpl_bytes);
+        let done = p1.finish.max(far.finish + hop).max(mem_done + hop);
+        self.spans.record(LinkId::Pcie1.hop(), p1.start, done);
+        done
+    }
+}
+
 /// The responder machine runtime.
 pub struct ServerMachine {
     spec: MachineSpec,
@@ -266,28 +357,6 @@ impl ServerMachine {
         ]
     }
 
-    /// Pipe utilizations over `[0, horizon]`: (wire in, wire out,
-    /// pcie0 down, pcie0 up, pcie1 down, pcie1 up).
-    pub fn pipe_utilization(&self, horizon: Nanos) -> [f64; 6] {
-        [
-            self.wire.fwd.utilization(horizon),
-            self.wire.rev.utilization(horizon),
-            self.pcie0.fwd.utilization(horizon),
-            self.pcie0.rev.utilization(horizon),
-            self.pcie1
-                .as_ref()
-                .map_or(0.0, |p| p.fwd.utilization(horizon)),
-            self.pcie1
-                .as_ref()
-                .map_or(0.0, |p| p.rev.utilization(horizon)),
-        ]
-    }
-
-    /// Resets the PCIe counters (after warmup).
-    pub fn reset_counters(&mut self) {
-        self.counters.reset();
-    }
-
     /// Host CPU core pool (two-sided handling, path-3 posting).
     pub fn host_cpu(&mut self) -> &mut MultiServer {
         &mut self.host_cpu
@@ -383,23 +452,20 @@ impl ServerMachine {
 
     /// One-way latency from NIC cores to `ep`'s memory.
     pub fn access_latency(&self, ep: Endpoint) -> Nanos {
-        self.pcie_extra_latency + self.base_access_latency(ep)
+        let switch = self.smart.as_ref().map_or(Nanos::ZERO, |s| {
+            s.pcie1_hop_latency + s.switch.crossing_latency
+        });
+        self.pcie_extra_latency + switch + self.far_latency(ep)
     }
 
-    fn base_access_latency(&self, ep: Endpoint) -> Nanos {
+    /// Latency of the last link before `ep`'s memory: PCIe0 and the root
+    /// complex to the host, the attach to the SoC.
+    fn far_latency(&self, ep: Endpoint) -> Nanos {
         match (&self.smart, ep) {
-            (None, Endpoint::Host) => {
+            (_, Endpoint::Host) => {
                 self.spec.host.pcie_latency + self.spec.host.root_complex_latency
             }
-            (Some(s), Endpoint::Host) => {
-                s.pcie1_hop_latency
-                    + s.switch.crossing_latency
-                    + self.spec.host.pcie_latency
-                    + self.spec.host.root_complex_latency
-            }
-            (Some(s), Endpoint::Soc) => {
-                s.pcie1_hop_latency + s.switch.crossing_latency + s.soc.attach_latency
-            }
+            (Some(s), Endpoint::Soc) => s.soc.attach_latency,
             (None, Endpoint::Soc) => panic!("RNIC machine has no SoC endpoint"),
         }
     }
@@ -505,108 +571,58 @@ impl ServerMachine {
         }
     }
 
+    /// The route from the NIC cores through the switch to `ep`'s
+    /// memory, or `None` on a plain RNIC.
+    fn via_switch(&mut self, ep: Endpoint) -> Option<ViaSwitch<'_>> {
+        let s = self.smart?;
+        let far_latency = self.far_latency(ep);
+        let (far, far_link, mem) = match ep {
+            Endpoint::Host => (&mut self.pcie0, LinkId::Pcie0, &mut self.host_mem),
+            Endpoint::Soc => (
+                self.attach.as_mut().expect("smartnic has attach"),
+                LinkId::SocAttach,
+                self.soc_mem.as_mut().expect("smartnic has soc mem"),
+            ),
+        };
+        Some(ViaSwitch {
+            hop1: s.pcie1_hop_latency,
+            crossing: s.switch.crossing_latency,
+            pcie1: self.pcie1.as_mut().expect("smartnic has pcie1"),
+            far,
+            far_link,
+            far_latency,
+            mem,
+            counters: &mut self.counters,
+            spans: &mut self.spans,
+        })
+    }
+
     /// Posted-write leg: data TLPs flow NIC -> (switch) -> endpoint.
     fn dma_write_leg(&mut self, start: Nanos, ep: Endpoint, addr: u64, bytes: u64) -> Nanos {
         let mtu = self.endpoint_mtu(ep);
         let tlps = tlp::write_tlps(bytes, mtu);
         let wire_bytes = bytes + tlps * TLP_OVERHEAD_BYTES;
-        let oneway = self.access_latency(ep);
-        match (self.smart.is_some(), ep) {
-            (false, Endpoint::Host) => {
-                // RNIC: one channel (counted as PCIe0).
-                self.counters
-                    .count(LinkId::Pcie0, CountDir::Down, tlps, bytes);
-                let r = self.pcie0.reserve(Dir::Fwd, start, wire_bytes, tlps);
-                self.spans.record(
-                    LinkId::Pcie0.hop(),
-                    r.start,
-                    (r.start + oneway).max(r.finish),
-                );
-                let mem_done = self.host_mem.dma_access_spanned(
-                    r.start + oneway,
-                    addr,
-                    bytes,
-                    MemOp::Write,
-                    &mut self.spans,
-                );
-                mem_done.max(r.finish + oneway)
-            }
-            (true, Endpoint::Host) => {
-                let s = *self.smart.as_ref().expect("smart checked");
-                self.counters
-                    .count(LinkId::Pcie1, CountDir::Down, tlps, bytes);
-                self.counters
-                    .count(LinkId::Pcie0, CountDir::Down, tlps, bytes);
-                let p1 = self.pcie1.as_mut().expect("smartnic has pcie1").reserve(
-                    Dir::Fwd,
-                    start,
-                    wire_bytes,
-                    tlps,
-                );
-                // Cut-through: PCIe0 starts once the head arrives at the
-                // switch.
-                let hop = s.pcie1_hop_latency + s.switch.crossing_latency;
-                self.spans.record(
-                    LinkId::Pcie1.hop(),
-                    p1.start,
-                    p1.finish.max(p1.start + s.pcie1_hop_latency),
-                );
-                self.spans
-                    .record(Hop::Switch, p1.start + s.pcie1_hop_latency, p1.start + hop);
-                let p0 = self
-                    .pcie0
-                    .reserve(Dir::Fwd, p1.start + hop, wire_bytes, tlps);
-                let mem_arrive =
-                    p0.start + self.spec.host.pcie_latency + self.spec.host.root_complex_latency;
-                self.spans
-                    .record(LinkId::Pcie0.hop(), p0.start, p0.finish.max(mem_arrive));
-                let mem_done = self.host_mem.dma_access_spanned(
-                    mem_arrive,
-                    addr,
-                    bytes,
-                    MemOp::Write,
-                    &mut self.spans,
-                );
-                mem_done.max(p0.finish).max(p1.finish)
-            }
-            (true, Endpoint::Soc) => {
-                let s = *self.smart.as_ref().expect("smart checked");
-                self.counters
-                    .count(LinkId::Pcie1, CountDir::Down, tlps, bytes);
-                self.counters
-                    .count(LinkId::SocAttach, CountDir::Down, tlps, bytes);
-                let p1 = self.pcie1.as_mut().expect("smartnic has pcie1").reserve(
-                    Dir::Fwd,
-                    start,
-                    wire_bytes,
-                    tlps,
-                );
-                let hop = s.pcie1_hop_latency + s.switch.crossing_latency;
-                self.spans.record(
-                    LinkId::Pcie1.hop(),
-                    p1.start,
-                    p1.finish.max(p1.start + s.pcie1_hop_latency),
-                );
-                self.spans
-                    .record(Hop::Switch, p1.start + s.pcie1_hop_latency, p1.start + hop);
-                let at = self.attach.as_mut().expect("smartnic has attach").reserve(
-                    Dir::Fwd,
-                    p1.start + hop,
-                    wire_bytes,
-                    tlps,
-                );
-                let mem_arrive = at.start + s.soc.attach_latency;
-                self.spans
-                    .record(LinkId::SocAttach.hop(), at.start, at.finish.max(mem_arrive));
-                let mem_done = self
-                    .soc_mem
-                    .as_mut()
-                    .expect("smartnic has soc mem")
-                    .dma_access_spanned(mem_arrive, addr, bytes, MemOp::Write, &mut self.spans);
-                mem_done.max(at.finish).max(p1.finish)
-            }
-            (false, Endpoint::Soc) => panic!("RNIC machine has no SoC endpoint"),
+        if let Some(route) = self.via_switch(ep) {
+            return route.write(start, addr, bytes, tlps, wire_bytes);
         }
+        // RNIC: one channel (counted as PCIe0).
+        let oneway = self.access_latency(ep);
+        self.counters
+            .count(LinkId::Pcie0, CountDir::Down, tlps, bytes);
+        let r = self.pcie0.reserve(Dir::Fwd, start, wire_bytes);
+        self.spans.record(
+            LinkId::Pcie0.hop(),
+            r.start,
+            (r.start + oneway).max(r.finish),
+        );
+        let mem_done = self.host_mem.dma_access_spanned(
+            r.start + oneway,
+            addr,
+            bytes,
+            MemOp::Write,
+            &mut self.spans,
+        );
+        mem_done.max(r.finish + oneway)
     }
 
     /// DMA-read leg: request TLPs out, completion TLPs back.
@@ -618,7 +634,6 @@ impl ServerMachine {
         };
         let req_tlps = tlp::read_request_tlps(bytes, mrrs);
         let cpl_tlps = tlp::completion_tlps(bytes, mtu);
-        let cpl_bytes = bytes + cpl_tlps * TLP_OVERHEAD_BYTES;
         let oneway = self.access_latency(ep);
 
         // Issue the read requests (control TLPs, negligible bytes but
@@ -626,141 +641,34 @@ impl ServerMachine {
         // the return pipes while it does; the read is done when both the
         // memory stream and the slowest return pipe finish.
         let mem_arrive = start + oneway;
-        let first_data = mem_arrive + FIRST_CHUNK_LAT;
-        let ready = match (self.smart.is_some(), ep) {
-            (false, Endpoint::Host) => {
-                self.counters
-                    .count(LinkId::Pcie0, CountDir::Down, req_tlps, 0);
-                self.counters
-                    .count(LinkId::Pcie0, CountDir::Up, cpl_tlps, bytes);
-                let rq = self
-                    .pcie0
-                    .reserve(Dir::Fwd, start, req_tlps * CTRL_TLP_BYTES, req_tlps);
-                self.spans
-                    .record(LinkId::Pcie0.hop(), rq.start, mem_arrive.max(rq.finish));
-                let mem_done = self.host_mem.dma_access_spanned(
-                    mem_arrive,
-                    addr,
-                    bytes,
-                    MemOp::Read,
-                    &mut self.spans,
-                );
-                let r = self
-                    .pcie0
-                    .reserve(Dir::Rev, first_data, cpl_bytes, cpl_tlps);
-                let tail = oneway.saturating_sub(self.spec.host.root_complex_latency);
-                let done = r.finish.max(mem_done) + tail;
-                self.spans.record(LinkId::Pcie0.hop(), r.start, done);
-                done
-            }
-            (true, Endpoint::Host) => {
-                let s = *self.smart.as_ref().expect("smart checked");
-                self.counters
-                    .count(LinkId::Pcie1, CountDir::Down, req_tlps, 0);
-                self.counters
-                    .count(LinkId::Pcie0, CountDir::Down, req_tlps, 0);
-                self.counters
-                    .count(LinkId::Pcie0, CountDir::Up, cpl_tlps, bytes);
-                self.counters
-                    .count(LinkId::Pcie1, CountDir::Up, cpl_tlps, bytes);
-                let rq = self.pcie1.as_mut().expect("smartnic has pcie1").reserve(
-                    Dir::Fwd,
-                    start,
-                    req_tlps * CTRL_TLP_BYTES,
-                    req_tlps,
-                );
-                let hop = s.switch.crossing_latency + s.pcie1_hop_latency;
-                self.spans.record(
-                    LinkId::Pcie1.hop(),
-                    rq.start,
-                    rq.finish.max(rq.start + s.pcie1_hop_latency),
-                );
-                self.spans
-                    .record(Hop::Switch, rq.start + s.pcie1_hop_latency, rq.start + hop);
-                self.spans
-                    .record(LinkId::Pcie0.hop(), rq.start + hop, mem_arrive);
-                let mem_done = self.host_mem.dma_access_spanned(
-                    mem_arrive,
-                    addr,
-                    bytes,
-                    MemOp::Read,
-                    &mut self.spans,
-                );
-                let p0 = self
-                    .pcie0
-                    .reserve(Dir::Rev, first_data, cpl_bytes, cpl_tlps);
-                self.spans
-                    .record(LinkId::Pcie0.hop(), p0.start, p0.finish.max(mem_done));
-                self.spans.record(
-                    Hop::Switch,
-                    p0.finish.max(mem_done),
-                    p0.finish.max(mem_done) + s.switch.crossing_latency,
-                );
-                let p1 = self.pcie1.as_mut().expect("smartnic has pcie1").reserve(
-                    Dir::Rev,
-                    p0.start + hop,
-                    cpl_bytes,
-                    cpl_tlps,
-                );
-                let done = p1.finish.max(p0.finish + hop).max(mem_done + hop);
-                self.spans.record(LinkId::Pcie1.hop(), p1.start, done);
-                done
-            }
-            (true, Endpoint::Soc) => {
-                let s = *self.smart.as_ref().expect("smart checked");
-                self.counters
-                    .count(LinkId::Pcie1, CountDir::Down, req_tlps, 0);
-                self.counters
-                    .count(LinkId::SocAttach, CountDir::Down, req_tlps, 0);
-                self.counters
-                    .count(LinkId::SocAttach, CountDir::Up, cpl_tlps, bytes);
-                self.counters
-                    .count(LinkId::Pcie1, CountDir::Up, cpl_tlps, bytes);
-                let rq = self.pcie1.as_mut().expect("smartnic has pcie1").reserve(
-                    Dir::Fwd,
-                    start,
-                    req_tlps * CTRL_TLP_BYTES,
-                    req_tlps,
-                );
-                let hop = s.switch.crossing_latency + s.pcie1_hop_latency;
-                self.spans.record(
-                    LinkId::Pcie1.hop(),
-                    rq.start,
-                    rq.finish.max(rq.start + s.pcie1_hop_latency),
-                );
-                self.spans
-                    .record(Hop::Switch, rq.start + s.pcie1_hop_latency, rq.start + hop);
-                self.spans
-                    .record(LinkId::SocAttach.hop(), rq.start + hop, mem_arrive);
-                let mem_done = self
-                    .soc_mem
-                    .as_mut()
-                    .expect("smartnic has soc mem")
-                    .dma_access_spanned(mem_arrive, addr, bytes, MemOp::Read, &mut self.spans);
-                let at = self.attach.as_mut().expect("smartnic has attach").reserve(
-                    Dir::Rev,
-                    first_data,
-                    cpl_bytes,
-                    cpl_tlps,
-                );
-                self.spans
-                    .record(LinkId::SocAttach.hop(), at.start, at.finish.max(mem_done));
-                self.spans.record(
-                    Hop::Switch,
-                    at.finish.max(mem_done),
-                    at.finish.max(mem_done) + s.switch.crossing_latency,
-                );
-                let p1 = self.pcie1.as_mut().expect("smartnic has pcie1").reserve(
-                    Dir::Rev,
-                    at.start + hop,
-                    cpl_bytes,
-                    cpl_tlps,
-                );
-                let done = p1.finish.max(at.finish + hop).max(mem_done + hop);
-                self.spans.record(LinkId::Pcie1.hop(), p1.start, done);
-                done
-            }
-            (false, Endpoint::Soc) => panic!("RNIC machine has no SoC endpoint"),
+        let ready = if let Some(route) = self.via_switch(ep) {
+            route.read(start, mem_arrive, addr, bytes, req_tlps, cpl_tlps)
+        } else {
+            // RNIC: one channel (counted as PCIe0).
+            self.counters
+                .count(LinkId::Pcie0, CountDir::Down, req_tlps, 0);
+            self.counters
+                .count(LinkId::Pcie0, CountDir::Up, cpl_tlps, bytes);
+            let rq = self
+                .pcie0
+                .reserve(Dir::Fwd, start, req_tlps * CTRL_TLP_BYTES);
+            self.spans
+                .record(LinkId::Pcie0.hop(), rq.start, mem_arrive.max(rq.finish));
+            let mem_done = self.host_mem.dma_access_spanned(
+                mem_arrive,
+                addr,
+                bytes,
+                MemOp::Read,
+                &mut self.spans,
+            );
+            let cpl_bytes = bytes + cpl_tlps * TLP_OVERHEAD_BYTES;
+            let r = self
+                .pcie0
+                .reserve(Dir::Rev, mem_arrive + FIRST_CHUNK_LAT, cpl_bytes);
+            let tail = oneway.saturating_sub(self.spec.host.root_complex_latency);
+            let done = r.finish.max(mem_done) + tail;
+            self.spans.record(LinkId::Pcie0.hop(), r.start, done);
+            done
         };
 
         // Completion-tag window (Figure 8): once the completion stream of
@@ -845,11 +753,8 @@ impl ServerMachine {
             let in_tlps = tlp::tlp_count(bytes, in_mtu);
             let out_tlps = tlp::tlp_count(bytes, out_mtu);
             let p1 = self.pcie1.as_mut().expect("path 3 needs a SmartNIC");
-            let occupancy = p1
-                .rev
-                .service_time(bytes + in_tlps * TLP_OVERHEAD_BYTES, in_tlps)
-                + p1.fwd
-                    .service_time(bytes + out_tlps * TLP_OVERHEAD_BYTES, out_tlps);
+            let occupancy = p1.rev.service_time(bytes + in_tlps * TLP_OVERHEAD_BYTES)
+                + p1.fwd.service_time(bytes + out_tlps * TLP_OVERHEAD_BYTES);
             let res = self.fwd_engine.reserve(start, occupancy);
             self.spans.record(Hop::DmaEngine, res.start, res.finish);
             write.data_ready.max(res.finish)
@@ -1151,5 +1056,94 @@ mod tests {
     fn rnic_rejects_soc_dma() {
         let mut s = rnic();
         s.dma(Nanos::ZERO, Endpoint::Soc, MemOp::Write, 0, 64, true);
+    }
+
+    /// FNV-1a over the little-endian bytes of `v` (the idiom of
+    /// `tests/golden.rs`).
+    fn fold(h: &mut u64, v: u64) {
+        for b in v.to_le_bytes() {
+            *h ^= u64::from(b);
+            *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Folds one leg's finish time and its attributed hop breakdown, then
+    /// clears the spans for the next call.
+    fn fold_leg(h: &mut u64, s: &mut ServerMachine, leg: DmaLeg) {
+        fold(h, leg.data_ready.as_nanos());
+        for (_, dt) in s.spans().attribute(leg.start, leg.data_ready).iter() {
+            fold(h, dt.as_nanos());
+        }
+        s.spans_mut().clear();
+    }
+
+    /// Every DMA leg and path-3 composite of the three server NICs, issued
+    /// at rising, overlapping starts, healthy and under a PCIe
+    /// degradation, folded into one digest with the final per-link,
+    /// per-direction counters. The constant was recorded before the
+    /// SmartNIC host and SoC legs became one walk; a refactor of the legs
+    /// must reproduce it bit for bit.
+    #[test]
+    fn dma_legs_match_recorded_digest() {
+        const SIZES: [u64; 5] = [0, 64, 4096, 1 << 20, 12 << 20];
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let specs = [
+            MachineSpec::srv_with_rnic(),
+            MachineSpec::srv_with_bluefield(),
+            MachineSpec::srv_with_bluefield3_dpa(),
+        ];
+        for spec in specs {
+            for degraded in [false, true] {
+                let mut s = ServerMachine::new(spec);
+                if degraded {
+                    s.set_pcie_degradation(4.0, Nanos::new(200));
+                }
+                s.spans_mut().set_enabled(true);
+                let smart = s.smartnic().is_some();
+                let eps: &[Endpoint] = if smart {
+                    &[Endpoint::Host, Endpoint::Soc]
+                } else {
+                    &[Endpoint::Host]
+                };
+                let (mut start, mut addr) = (Nanos::ZERO, 0u64);
+                for &ep in eps {
+                    for op in [MemOp::Read, MemOp::Write] {
+                        for bytes in SIZES {
+                            for hold in [true, false] {
+                                let leg = s.dma(start, ep, op, addr, bytes, hold);
+                                fold_leg(&mut h, &mut s, leg);
+                                start += Nanos::new(300);
+                                addr += bytes + 4096;
+                            }
+                        }
+                    }
+                }
+                if smart {
+                    for requester in [Endpoint::Host, Endpoint::Soc] {
+                        let threshold = s.path3_threshold(requester);
+                        for (src, dst) in [
+                            (Endpoint::Soc, Endpoint::Host),
+                            (Endpoint::Host, Endpoint::Soc),
+                        ] {
+                            for bytes in [threshold, threshold + 4096] {
+                                let leg = s.intra_dma(start, requester, src, dst, addr, 0, bytes);
+                                fold_leg(&mut h, &mut s, leg);
+                                start += Nanos::new(300);
+                                addr += bytes + 4096;
+                            }
+                        }
+                    }
+                }
+                for link in LinkId::ALL {
+                    for dir in [CountDir::Down, CountDir::Up] {
+                        let c = s.counters();
+                        fold(&mut h, c.dir_tlps(link, dir));
+                        fold(&mut h, c.dir_data_tlps(link, dir));
+                        fold(&mut h, c.dir_bytes(link, dir));
+                    }
+                }
+            }
+        }
+        assert_eq!(h, 0xbbb3_4418_84bf_3265, "DMA-leg digest moved: {h:#018x}");
     }
 }

@@ -122,15 +122,7 @@ impl PcieCounters {
     /// Data-bearing TLPs on `link`, both directions (Table 3's metric:
     /// the simplified model "omits control path packets").
     pub fn data_tlps(&self, link: LinkId) -> u64 {
-        let d = self
-            .tallies
-            .get(&(link, CountDir::Down))
-            .map_or(0, |t| t.data_tlps);
-        let u = self
-            .tallies
-            .get(&(link, CountDir::Up))
-            .map_or(0, |t| t.data_tlps);
-        d + u
+        self.dir_data_tlps(link, CountDir::Down) + self.dir_data_tlps(link, CountDir::Up)
     }
 
     /// Data-bearing TLPs on `link` in one direction.
@@ -140,15 +132,12 @@ impl PcieCounters {
 
     /// Total payload bytes on `link`, both directions.
     pub fn bytes(&self, link: LinkId) -> u64 {
-        let d = self
-            .tallies
-            .get(&(link, CountDir::Down))
-            .map_or(0, |t| t.bytes);
-        let u = self
-            .tallies
-            .get(&(link, CountDir::Up))
-            .map_or(0, |t| t.bytes);
-        d + u
+        self.dir_bytes(link, CountDir::Down) + self.dir_bytes(link, CountDir::Up)
+    }
+
+    /// Payload bytes on `link` in one direction.
+    pub fn dir_bytes(&self, link: LinkId, dir: CountDir) -> u64 {
+        self.tallies.get(&(link, dir)).map_or(0, |t| t.bytes)
     }
 
     /// TLPs summed over every link — the "PCIe packets the SmartNIC must

@@ -1,7 +1,7 @@
 //! Deterministic fault injection.
 //!
 //! A [`FaultSpec`] describes seeded, schedulable fault processes — wire
-//! packet loss/corruption, per-crossing PCIe TLP corruption, PCIe link
+//! frame loss, per-crossing PCIe TLP corruption, PCIe link
 //! degradation windows (Gen4 -> Gen1 retraining on the Bluefield-2) and
 //! transient SoC-core stalls. A [`FaultPlane`] turns the spec into
 //! verdicts the simulators consult.
@@ -86,10 +86,6 @@ pub struct FaultSpec {
     pub seed: u64,
     /// Probability a network-wire crossing loses the frame.
     pub wire_loss: f64,
-    /// Probability a network-wire crossing corrupts the frame (detected
-    /// by CRC at the receiver; indistinguishable from loss to the
-    /// transport).
-    pub wire_corrupt: f64,
     /// Probability one PCIe1 crossing corrupts a TLP of the request
     /// (detected by LCRC; the transport-level attempt fails).
     pub pcie_corrupt: f64,
@@ -111,7 +107,6 @@ impl FaultSpec {
         FaultSpec {
             seed: 0,
             wire_loss: 0.0,
-            wire_corrupt: 0.0,
             pcie_corrupt: 0.0,
             pcie_windows: Vec::new(),
             soc_stalls: Vec::new(),
@@ -127,12 +122,6 @@ impl FaultSpec {
     /// Sets the per-crossing wire loss probability.
     pub fn with_wire_loss(mut self, p: f64) -> Self {
         self.wire_loss = p;
-        self
-    }
-
-    /// Sets the per-crossing wire corruption probability.
-    pub fn with_wire_corrupt(mut self, p: f64) -> Self {
-        self.wire_corrupt = p;
         self
     }
 
@@ -159,7 +148,6 @@ impl FaultSpec {
     /// to a build without fault injection.
     pub fn is_inert(&self) -> bool {
         self.wire_loss <= 0.0
-            && self.wire_corrupt <= 0.0
             && self.pcie_corrupt <= 0.0
             && self.pcie_windows.iter().all(DegradedWindow::is_inert)
             && self.soc_stalls.iter().all(StallWindow::is_inert)
@@ -268,12 +256,12 @@ impl FaultPlane {
     }
 
     /// Whether one network-wire crossing of the identified transfer is
-    /// lost or corrupted (CRC-detected at the receiver; either way the
-    /// attempt fails). `crossing` distinguishes the request and response
-    /// legs of one attempt.
+    /// lost (a frame corrupted on the wire is CRC-dropped at the receiver,
+    /// so loss covers it). `crossing` distinguishes the request and
+    /// response legs of one attempt. The salt `crossing << 1` keeps every
+    /// recorded verdict, and so the golden digests, where they are.
     pub fn wire_verdict(&self, key: u64, crossing: u64) -> bool {
         self.coin(key, crossing << 1) < self.spec.wire_loss
-            || self.coin(key, (crossing << 1) | 1) < self.spec.wire_corrupt
     }
 
     /// Whether one PCIe1 crossing of the identified transfer corrupts a
@@ -306,7 +294,7 @@ impl FaultPlane {
     /// Whether any stochastic (per-attempt) fault is configured. When
     /// false, transports can skip the retransmission machinery entirely.
     pub fn has_stochastic_faults(&self) -> bool {
-        self.spec.wire_loss > 0.0 || self.spec.wire_corrupt > 0.0 || self.spec.pcie_corrupt > 0.0
+        self.spec.wire_loss > 0.0 || self.spec.pcie_corrupt > 0.0
     }
 
     /// Whether any scheduled window (degradation or stall) exists.

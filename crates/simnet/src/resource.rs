@@ -8,7 +8,7 @@
 
 use std::collections::BinaryHeap;
 
-use crate::time::{Bandwidth, Nanos, Rate};
+use crate::time::{Bandwidth, Nanos};
 
 /// The outcome of reserving time on a resource.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,52 +186,29 @@ impl MultiServer {
     }
 }
 
-/// A fluid pipe: a FIFO resource whose service time is the maximum of a
-/// byte-rate constraint and a per-item (packet) constraint.
+/// A fluid pipe: a FIFO resource that serves bytes at a fixed rate.
 ///
-/// This is the workhorse model for a PCIe link direction or a network wire:
-/// pushing a transfer of `bytes` segmented into `items` packets occupies the
-/// pipe for `max(bytes / bandwidth, items / packet_rate)`.
+/// This is the workhorse model for a PCIe link direction, a network wire
+/// or a DRAM channel bus: pushing `bytes` occupies the pipe for
+/// `bytes / bandwidth`. Callers fold per-packet costs (TLP and frame
+/// headers) into the bytes they reserve.
 #[derive(Debug, Clone)]
 pub struct Pipe {
     bandwidth: Bandwidth,
-    item_rate: Option<Rate>,
     server: Server,
-    bytes: u64,
-    items: u64,
     /// Service-time multiplier for degraded operation (fault injection:
     /// a link retrained to a lower PCIe generation/width). 1.0 = healthy.
     derate: f64,
 }
 
 impl Pipe {
-    /// Creates a pipe limited only by `bandwidth`.
+    /// Creates a pipe limited by `bandwidth`.
     pub fn new(bandwidth: Bandwidth) -> Self {
         Pipe {
             bandwidth,
-            item_rate: None,
             server: Server::new(),
-            bytes: 0,
-            items: 0,
             derate: 1.0,
         }
-    }
-
-    /// Creates a pipe limited by both `bandwidth` and a per-item rate.
-    pub fn with_item_rate(bandwidth: Bandwidth, item_rate: Rate) -> Self {
-        Pipe {
-            bandwidth,
-            item_rate: Some(item_rate),
-            server: Server::new(),
-            bytes: 0,
-            items: 0,
-            derate: 1.0,
-        }
-    }
-
-    /// The configured byte bandwidth.
-    pub fn bandwidth(&self) -> Bandwidth {
-        self.bandwidth
     }
 
     /// Sets the degradation multiplier: subsequent reservations take
@@ -246,18 +223,13 @@ impl Pipe {
         self.derate
     }
 
-    /// Service time for a transfer, without reserving it.
-    pub fn service_time(&self, bytes: u64, items: u64) -> Nanos {
-        let byte_time = if self.bandwidth.is_zero() {
+    /// Service time for a transfer of `bytes`, without reserving it.
+    pub fn service_time(&self, bytes: u64) -> Nanos {
+        let t = if self.bandwidth.is_zero() {
             Nanos::ZERO
         } else {
             self.bandwidth.transfer_time(bytes)
         };
-        let item_time = match self.item_rate {
-            Some(r) => r.service_time(items),
-            None => Nanos::ZERO,
-        };
-        let t = byte_time.max(item_time);
         if self.derate > 1.0 {
             Nanos::from_nanos_f64(t.as_nanos() as f64 * self.derate)
         } else {
@@ -265,22 +237,10 @@ impl Pipe {
         }
     }
 
-    /// Reserves the pipe for a transfer of `bytes` in `items` packets.
-    pub fn reserve(&mut self, arrival: Nanos, bytes: u64, items: u64) -> Reservation {
-        let service = self.service_time(bytes, items);
-        self.bytes += bytes;
-        self.items += items;
+    /// Reserves the pipe for a transfer of `bytes`.
+    pub fn reserve(&mut self, arrival: Nanos, bytes: u64) -> Reservation {
+        let service = self.service_time(bytes);
         self.server.reserve(arrival, service)
-    }
-
-    /// Total bytes pushed through the pipe.
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Total items (packets) pushed through the pipe.
-    pub fn total_items(&self) -> u64 {
-        self.items
     }
 
     /// The earliest instant a new transfer could begin.
@@ -296,14 +256,6 @@ impl Pipe {
     /// Utilization over `[0, horizon]`.
     pub fn utilization(&self, horizon: Nanos) -> f64 {
         self.server.utilization(horizon)
-    }
-
-    /// Achieved byte throughput over `[0, horizon]`.
-    pub fn achieved_bandwidth(&self, horizon: Nanos) -> Bandwidth {
-        if horizon == Nanos::ZERO {
-            return Bandwidth::ZERO;
-        }
-        Bandwidth::bytes_per_sec(self.bytes as f64 / horizon.as_secs_f64())
     }
 }
 
@@ -348,14 +300,6 @@ impl DuplexPipe {
         }
     }
 
-    /// Creates a symmetric duplex link with a per-packet rate limit.
-    pub fn with_item_rate(bandwidth: Bandwidth, rate: Rate) -> Self {
-        DuplexPipe {
-            fwd: Pipe::with_item_rate(bandwidth, rate),
-            rev: Pipe::with_item_rate(bandwidth, rate),
-        }
-    }
-
     /// The pipe for `dir`.
     pub fn dir(&mut self, dir: Dir) -> &mut Pipe {
         match dir {
@@ -365,8 +309,8 @@ impl DuplexPipe {
     }
 
     /// Reserves a transfer in direction `dir`.
-    pub fn reserve(&mut self, dir: Dir, arrival: Nanos, bytes: u64, items: u64) -> Reservation {
-        self.dir(dir).reserve(arrival, bytes, items)
+    pub fn reserve(&mut self, dir: Dir, arrival: Nanos, bytes: u64) -> Reservation {
+        self.dir(dir).reserve(arrival, bytes)
     }
 
     /// Sets the degradation multiplier on both directions (fault
@@ -469,51 +413,32 @@ mod tests {
     fn pipe_byte_limit() {
         // 1 GB/s = 1 byte/ns.
         let mut p = Pipe::new(Bandwidth::gigabytes_per_sec(1.0));
-        let r = p.reserve(Nanos::ZERO, 1000, 1);
+        let r = p.reserve(Nanos::ZERO, 1000);
         assert_eq!(r.finish, Nanos::new(1000));
-    }
-
-    #[test]
-    fn pipe_item_limit_dominates_small_packets() {
-        // 100 M items/s = 10 ns/item; tiny bytes.
-        let mut p = Pipe::with_item_rate(Bandwidth::gigabytes_per_sec(100.0), Rate::mops(100.0));
-        let r = p.reserve(Nanos::ZERO, 64, 4);
-        assert_eq!(r.finish, Nanos::new(40)); // 4 items * 10 ns beats 64 B / 100 GB/s
-    }
-
-    #[test]
-    fn pipe_accounting() {
-        let mut p = Pipe::new(Bandwidth::gigabytes_per_sec(1.0));
-        p.reserve(Nanos::ZERO, 500, 2);
-        p.reserve(Nanos::ZERO, 500, 3);
-        assert_eq!(p.total_bytes(), 1000);
-        assert_eq!(p.total_items(), 5);
-        let bw = p.achieved_bandwidth(Nanos::new(1000));
-        assert!((bw.as_bytes_per_sec() - 1e9).abs() < 1.0);
     }
 
     #[test]
     fn duplex_directions_do_not_contend() {
         let mut d = DuplexPipe::new(Bandwidth::gigabytes_per_sec(1.0));
-        let f = d.reserve(Dir::Fwd, Nanos::ZERO, 1000, 1);
-        let r = d.reserve(Dir::Rev, Nanos::ZERO, 1000, 1);
+        let f = d.reserve(Dir::Fwd, Nanos::ZERO, 1000);
+        let r = d.reserve(Dir::Rev, Nanos::ZERO, 1000);
         assert_eq!(f.start, Nanos::ZERO);
         assert_eq!(r.start, Nanos::ZERO);
         // Same direction would have queued:
-        let f2 = d.reserve(Dir::Fwd, Nanos::ZERO, 1000, 1);
+        let f2 = d.reserve(Dir::Fwd, Nanos::ZERO, 1000);
         assert_eq!(f2.start, Nanos::new(1000));
     }
 
     #[test]
     fn derate_scales_service_and_resets() {
         let mut p = Pipe::new(Bandwidth::gigabytes_per_sec(1.0));
-        assert_eq!(p.service_time(1000, 1), Nanos::new(1000));
+        assert_eq!(p.service_time(1000), Nanos::new(1000));
         p.set_derate(12.8);
-        assert_eq!(p.service_time(1000, 1), Nanos::new(12800));
+        assert_eq!(p.service_time(1000), Nanos::new(12800));
         // Sub-1.0 factors clamp to healthy.
         p.set_derate(0.5);
         assert_eq!(p.derate(), 1.0);
-        assert_eq!(p.service_time(1000, 1), Nanos::new(1000));
+        assert_eq!(p.service_time(1000), Nanos::new(1000));
     }
 
     #[test]

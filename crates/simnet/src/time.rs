@@ -119,6 +119,20 @@ impl Nanos {
     }
 }
 
+/// The measured span of a run of `duration` whose first `warmup` is
+/// discarded: `duration - warmup`. Equal values give an empty window.
+///
+/// # Panics
+///
+/// Panics, in every build, if the warmup ends after the run.
+pub fn measured_window(warmup: Nanos, duration: Nanos) -> Nanos {
+    assert!(
+        warmup <= duration,
+        "warmup ({warmup}) exceeds duration ({duration})"
+    );
+    duration - warmup
+}
+
 impl Add for Nanos {
     type Output = Nanos;
     #[inline]
@@ -386,6 +400,13 @@ mod tests {
     #[test]
     fn nanos_saturating_sub_clamps() {
         assert_eq!(Nanos::new(5).saturating_sub(Nanos::new(9)), Nanos::ZERO);
+    }
+
+    #[test]
+    fn measured_window_allows_an_empty_run() {
+        let t = Nanos::from_micros(3);
+        assert_eq!(measured_window(t, t), Nanos::ZERO);
+        assert_eq!(measured_window(Nanos::ZERO, t), t);
     }
 
     #[test]

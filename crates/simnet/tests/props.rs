@@ -59,8 +59,8 @@ fn pipe_work_conservation() {
         let mut expected_busy = Nanos::ZERO;
         let mut last_finish = Nanos::ZERO;
         for &(bytes, arrive) in &transfers {
-            expected_busy += p.service_time(bytes, 1);
-            let r = p.reserve(Nanos::new(arrive), bytes, 1);
+            expected_busy += p.service_time(bytes);
+            let r = p.reserve(Nanos::new(arrive), bytes);
             prop_assert!(r.start >= Nanos::new(arrive));
             prop_assert!(r.finish >= last_finish, "FIFO order violated");
             last_finish = r.finish;
@@ -78,10 +78,10 @@ fn duplex_independence() {
         let n = g.usize(1..64);
         let mut d = DuplexPipe::new(Bandwidth::gigabytes_per_sec(1.0));
         for _ in 0..n {
-            d.reserve(Dir::Fwd, Nanos::ZERO, 1000, 1);
+            d.reserve(Dir::Fwd, Nanos::ZERO, 1000);
         }
         // The reverse direction is still immediate.
-        let r = d.reserve(Dir::Rev, Nanos::ZERO, 1000, 1);
+        let r = d.reserve(Dir::Rev, Nanos::ZERO, 1000);
         prop_assert_eq!(r.start, Nanos::ZERO);
         Ok(())
     });

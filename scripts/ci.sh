@@ -73,6 +73,21 @@ if ! grep -q "ok. 1 passed" <<<"$llc_out"; then
     exit 1
 fi
 
+# Every DMA leg must stay exact: the digest test folds each leg's
+# finish time, hop breakdown and PCIe counters on the three server NICs,
+# healthy and degraded, into one constant. Run it by name and refuse a
+# run where the filter matched anything else.
+dma_out=$(cargo test --release --offline -p nicsim --lib dma_legs_match_recorded_digest 2>&1) || {
+    echo "$dma_out"
+    echo "ci.sh: DMA-leg digest test FAILED" >&2
+    exit 1
+}
+if ! grep -q "ok. 1 passed" <<<"$dma_out"; then
+    echo "$dma_out"
+    echo "ci.sh: expected exactly server::tests::dma_legs_match_recorded_digest (filtered out or renamed?)" >&2
+    exit 1
+fi
+
 # Smoke the cluster runtime end to end through its example, and the
 # fault-injection, open-loop, KV-service, far-memory and BF-3 DPA
 # sweeps through the figure runner.
@@ -104,4 +119,4 @@ for workload in rack_verbs rack_services harness_sweep; do
     fi
 done
 
-echo "ci.sh: build + tests + fmt + clippy (workspace and snicbench) + rustdoc + cluster determinism + golden digests + LLC lockstep oracle (lockstep_matches_per_line_oracle) + Figure-1 table and KV examples + benchmark smoke all green (offline)"
+echo "ci.sh: build + tests + fmt + clippy (workspace and snicbench) + rustdoc + cluster determinism + golden digests + LLC lockstep oracle (lockstep_matches_per_line_oracle) + DMA-leg digest (dma_legs_match_recorded_digest) + Figure-1 table and KV examples + benchmark smoke all green (offline)"

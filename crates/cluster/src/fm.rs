@@ -23,6 +23,7 @@
 //! model — the weak memory the paper's Advice #1 warns about.
 
 use simnet::resource::MultiServer;
+use simnet::rng::Zipf;
 use simnet::time::Nanos;
 use snic_farmem::{Demotion, FmStreamSpec, PageAccessGen, ResidencyTable, SocPageCache};
 
@@ -69,20 +70,23 @@ pub(crate) struct FmHost {
 }
 
 impl FmHost {
+    /// A host slice drawing hot pages from `zipf`, the stream's shared
+    /// table over its working set.
     pub fn new(
         spec: FmStreamSpec,
         rng: simnet::SimRng,
+        zipf: Zipf,
         n_clients: usize,
         n_servers: usize,
     ) -> Self {
         FmHost {
             spec,
-            gen: PageAccessGen::new(
+            gen: PageAccessGen::with_zipf(
                 rng,
+                zipf,
                 spec.n_pages,
                 spec.working_set,
                 spec.reuse,
-                spec.theta,
                 spec.write_fraction,
             ),
             table: ResidencyTable::new(spec.resident_cap, spec.demote_age),

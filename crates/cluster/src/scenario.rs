@@ -21,7 +21,7 @@ use topology::ClusterSpec;
 use crate::fm::{FmHost, FmServer};
 use crate::kv::{KvPlacement, KvServer, KvStreamSpec};
 use crate::runtime;
-use crate::shard::{Shard, ShardCounters};
+use crate::shard::{Shard, ShardCounters, StreamZipfs};
 use crate::switch::SwitchFabric;
 
 /// One cluster-wide load stream: requester threads on a set of client
@@ -452,6 +452,7 @@ pub fn run_cluster(scenario: &ClusterScenario, streams: &[ClusterStream]) -> Clu
     }
 
     for (si, stream) in streams.iter().enumerate() {
+        let zipfs = StreamZipfs::new(stream);
         // KV streams fan out over every server; the entry check above
         // covers them.
         if stream.path.on_smartnic() && stream.kv.is_none() {
@@ -482,6 +483,7 @@ pub fn run_cluster(scenario: &ClusterScenario, streams: &[ClusterStream]) -> Clu
                 shards[ci].install_stream(
                     si,
                     stream,
+                    &zipfs,
                     cost,
                     &mut shard_rngs[ci],
                     // Each client machine offers an even share of the
@@ -502,6 +504,7 @@ pub fn run_cluster(scenario: &ClusterScenario, streams: &[ClusterStream]) -> Clu
             shards[server_shard].install_stream(
                 si,
                 stream,
+                &zipfs,
                 cost,
                 &mut shard_rngs[server_shard],
                 stream.open.clone(),

@@ -154,6 +154,30 @@ struct KvClient {
     n_servers: usize,
 }
 
+/// The Zipf tables of one stream, built once per run and shared by
+/// every shard that installs the stream.
+pub(crate) struct StreamZipfs {
+    /// Over a KV stream's keys, when they are Zipf-distributed.
+    keys: Option<Zipf>,
+    /// Over a far-memory stream's working-set pages.
+    pages: Option<Zipf>,
+}
+
+impl StreamZipfs {
+    /// Builds the tables `stream` draws its keys or pages from.
+    pub(crate) fn new(stream: &ClusterStream) -> Self {
+        StreamZipfs {
+            keys: stream.kv.and_then(|spec| match spec.dist {
+                snic_kvstore::KeyDist::Zipf(theta) => Some(Zipf::new(spec.n_keys as usize, theta)),
+                snic_kvstore::KeyDist::Uniform => None,
+            }),
+            pages: stream
+                .farmem
+                .map(|spec| Zipf::new(spec.working_set as usize, spec.theta)),
+        }
+    }
+}
+
 /// A stream's shard-local slice: config + its requester threads
 /// (closed loop) or arrival generator (open loop).
 struct LocalStream {
@@ -484,10 +508,12 @@ impl Shard {
     ///
     /// Panics if the stream was already installed on this shard (a
     /// duplicate client index in `ClusterStream::clients`).
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn install_stream(
         &mut self,
         idx: usize,
         stream: &ClusterStream,
+        zipfs: &StreamZipfs,
         cpu_cost: Nanos,
         rng: &mut SimRng,
         open: Option<OpenLoopSpec>,
@@ -538,18 +564,15 @@ impl Shard {
         }
         let kv = stream.kv.as_ref().map(|spec| KvClient {
             read_fraction: spec.mix.read_fraction(),
-            zipf: match spec.dist {
-                snic_kvstore::KeyDist::Zipf(theta) => Some(Zipf::new(spec.n_keys as usize, theta)),
-                snic_kvstore::KeyDist::Uniform => None,
-            },
+            zipf: zipfs.keys.clone(),
             n_keys: spec.n_keys,
             value_size: spec.value_size,
             n_clients,
             n_servers,
         });
-        let fm = stream.farmem.map(|spec| {
+        let fm = stream.farmem.zip(zipfs.pages.clone()).map(|(spec, zipf)| {
             let rng = rng.fork(((idx as u64) << 32) | 0xFA12);
-            FmHost::new(spec, rng, n_clients, n_servers)
+            FmHost::new(spec, rng, zipf, n_clients, n_servers)
         });
         self.io.streams[idx] = Some(LocalStream {
             verb: stream.verb,

@@ -41,11 +41,30 @@ impl PageAccessGen {
         theta: f64,
         write_fraction: f64,
     ) -> Self {
+        let zipf = Zipf::new(working_set as usize, theta);
+        Self::with_zipf(rng, zipf, n_pages, working_set, reuse, write_fraction)
+    }
+
+    /// Like [`PageAccessGen::new`], but drawing hot pages from `zipf`, a
+    /// table over the `working_set` pages that every generator of one
+    /// stream shares.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 < working_set <= n_pages`.
+    pub fn with_zipf(
+        rng: SimRng,
+        zipf: Zipf,
+        n_pages: u64,
+        working_set: u64,
+        reuse: f64,
+        write_fraction: f64,
+    ) -> Self {
         assert!(working_set > 0, "empty working set");
         assert!(working_set <= n_pages, "working set exceeds page space");
         PageAccessGen {
             rng,
-            zipf: Zipf::new(working_set as usize, theta),
+            zipf,
             n_pages,
             working_set,
             reuse,

@@ -20,7 +20,11 @@
 //! * an access walks its lines once and moves tags in place (a hit on the
 //!   MRU tag moves nothing), then reserves each slice once for all of its
 //!   lines with [`Server::reserve_run`], which leaves the slice exactly
-//!   as one reservation per line would.
+//!   as one reservation per line would;
+//! * an access to the same lines as the previous one, the requester's
+//!   reused receive buffer, skips the walk when no set took more than
+//!   `ways` of those lines: each is a hit, and touching them again leaves
+//!   every set as it was.
 //!
 //! A per-line model, one `Vec` per set and one slice reservation per
 //! line, is kept in the tests as the lockstep oracle of this one.
@@ -99,6 +103,9 @@ pub struct LlcSim {
     slices: Vec<Server>,
     hits: u64,
     misses: u64,
+    /// `(first, lines)` of the previous access if every set still holds
+    /// all of its lines, i.e. `lines <= ways * sets`.
+    last: Option<(u64, u64)>,
 }
 
 impl LlcSim {
@@ -130,6 +137,7 @@ impl LlcSim {
             slices: vec![Server::new(); spec.slices as usize],
             hits: 0,
             misses: 0,
+            last: None,
         }
     }
 
@@ -166,7 +174,15 @@ impl LlcSim {
             .expect("LLC access past the end of the address space");
         let first = addr >> self.line_shift;
         let lines = (end >> self.line_shift) - first + 1;
-        self.touch(first, lines);
+        if self.last == Some((first, lines)) {
+            // Each set's lines sit in its top ways in address order, and
+            // touching them again in that order rebuilds the same order.
+            self.hits += lines;
+        } else {
+            self.touch(first, lines);
+            let resident = lines <= u64::from(self.spec.ways) * self.sets as u64;
+            self.last = resident.then_some((first, lines));
+        }
         self.reserve_slices(now, first, lines)
     }
 
@@ -460,12 +476,46 @@ mod tests {
         assert_eq!(two.tags.len(), 2 * CHUNK_SETS * ways);
     }
 
+    /// The requester's pattern on the Xeon spec: every READ response is
+    /// a DDIO write to the same receive buffer at address 0. A repeated
+    /// 16 MiB write (262,144 lines, at most 10 per set) hits every line.
+    /// A repeated 20 MiB write (327,680 lines, more than 11 x 26,810)
+    /// overflows its sets, so LRU evicts each line before its repeat.
+    /// Either way the repeat leaves every probe verdict as it was, and
+    /// finish times, counters and verdicts match the per-line oracle.
+    #[test]
+    fn repeated_receive_buffer_write_on_xeon() {
+        let spec = LlcSpec::xeon_like();
+        for (bytes, repeat_hits) in [(16 << 20, 262_144), (20 << 20, 0)] {
+            let mut fast = LlcSim::new(spec);
+            let mut slow = PerLineLlc::new(spec);
+            let mut verdicts = Vec::new();
+            for now in [Nanos::ZERO, Nanos::from_micros(1_000)] {
+                let done = fast.access(now, 0, bytes);
+                assert_eq!(done, slow.access(now, 0, bytes), "{bytes} B");
+                assert_eq!((fast.hits(), fast.misses()), (slow.hits, slow.misses));
+                // The buffer's lines and 1 MiB past it.
+                let probed: Vec<bool> = (0..(bytes + (1 << 20)) / spec.line)
+                    .map(|l| fast.probe(l * spec.line, 1))
+                    .collect();
+                for (l, &resident) in probed.iter().enumerate() {
+                    assert_eq!(resident, slow.probe(l as u64 * spec.line, 1), "line {l}");
+                }
+                verdicts.push(probed);
+            }
+            assert_eq!(fast.hits(), repeat_hits, "{bytes} B");
+            assert_eq!(verdicts[0], verdicts[1], "{bytes} B");
+        }
+    }
+
     /// Drives `LlcSim` and the per-line oracle with the same random
     /// accesses, 1 B to 4 MiB at a rising `now`: raw accesses (DDIO
     /// writes) and reads that access only when `probe` hits (the
     /// `MemSystem::dma_access` rule), then probes across each touched
-    /// span. Finish times, counters, probe verdicts and slice state
-    /// must agree.
+    /// span. Some accesses repeat the previous access's lines, from the
+    /// same bytes or another offset and length, and on tiny specs many
+    /// of those overflow their sets. Finish times, counters, probe
+    /// verdicts and slice state must agree.
     #[test]
     fn lockstep_matches_per_line_oracle() {
         check("llc_lockstep_matches_per_line_oracle", |g| {
@@ -480,7 +530,7 @@ mod tests {
             let mut spans: Vec<(u64, u64)> = Vec::new();
             for step in 0..g.usize(1..160) {
                 now += Nanos::new(g.u64(0..300));
-                let (addr, bytes) = match g.u64(0..8) {
+                let (addr, bytes) = match g.u64(0..10) {
                     // Anywhere, 1 B to 4 MiB.
                     0 => {
                         let bytes = size_up_to(g, 4 << 20);
@@ -498,6 +548,24 @@ mod tests {
                         let len = size_up_to(g, b);
                         let back = g.u64(0..(b - len).min(len) + 1);
                         (a + b - len - back, len)
+                    }
+                    // The previous access's first to last line, from its
+                    // own bytes or from any offset in the first line to
+                    // any offset in the last.
+                    3 | 4 if !spans.is_empty() => {
+                        let (a, b) = spans[spans.len() - 1];
+                        if g.bool() {
+                            (a, b)
+                        } else {
+                            let first = a / spec.line * spec.line;
+                            let last = (a + b - 1) / spec.line * spec.line;
+                            let mut offsets = [g.u64(0..spec.line), g.u64(0..spec.line)];
+                            if first == last {
+                                offsets.sort_unstable();
+                            }
+                            let at = first + offsets[0];
+                            (at, last + offsets[1] - at + 1)
+                        }
                     }
                     // Up to a line among 1.5 x ways tags that compete for
                     // two sets: hits at every LRU position, and evictions.

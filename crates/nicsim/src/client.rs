@@ -59,18 +59,6 @@ impl ClientMachine {
         &self.spec
     }
 
-    /// Resource-utilization snapshot over `[0, horizon]` for debugging
-    /// and reports: (PU pool, DMA contexts, wire out, wire in), each the
-    /// fraction of the horizon the resource spent busy.
-    pub fn utilization(&self, horizon: simnet::time::Nanos) -> [f64; 4] {
-        [
-            self.pu.utilization(horizon),
-            self.dma.utilization(horizon),
-            self.wire.fwd.utilization(horizon),
-            self.wire.rev.utilization(horizon),
-        ]
-    }
-
     /// Doorbell transit latency from a client core to the client NIC.
     pub fn mmio_transit(&self) -> Nanos {
         self.spec.host.cpu.mmio_latency + self.spec.host.pcie_latency
@@ -201,37 +189,5 @@ mod tests {
     #[test]
     fn mmio_transit_positive() {
         assert!(cli().mmio_transit() > Nanos::ZERO);
-    }
-
-    #[test]
-    fn utilization_reports_wire_busy_fractions() {
-        let mut c = cli();
-        // Reserve known transfers directly on the wire pipes; the busy
-        // fraction must equal each reservation's service time over the
-        // horizon (the old code reported scaled item counts instead).
-        let fwd = c.wire.reserve(Dir::Fwd, Nanos::ZERO, 40_000);
-        let rev1 = c.wire.reserve(Dir::Rev, Nanos::ZERO, 40_000);
-        let rev2 = c.wire.reserve(Dir::Rev, rev1.finish, 40_000);
-        let horizon = Nanos::new(10_000);
-        let u = c.utilization(horizon);
-        assert_eq!(u[0], 0.0, "PU pool untouched");
-        assert_eq!(u[1], 0.0, "DMA contexts untouched");
-        let h = horizon.as_nanos() as f64;
-        let want_fwd = (fwd.finish - fwd.start).as_nanos() as f64 / h;
-        let want_rev =
-            ((rev1.finish - rev1.start) + (rev2.finish - rev2.start)).as_nanos() as f64 / h;
-        assert!(want_fwd > 0.0);
-        assert!(
-            (u[2] - want_fwd).abs() < 1e-12,
-            "fwd {} vs {want_fwd}",
-            u[2]
-        );
-        assert!(
-            (u[3] - want_rev).abs() < 1e-12,
-            "rev {} vs {want_rev}",
-            u[3]
-        );
-        // Two reverse transfers vs one forward: rev busy is double.
-        assert!((u[3] - 2.0 * u[2]).abs() < 1e-12);
     }
 }

@@ -162,11 +162,6 @@ impl PcieCounters {
         Rate::per_sec(self.total_tlps() as f64 / elapsed.as_secs_f64())
     }
 
-    /// Resets all counters to zero (e.g. after warmup).
-    pub fn reset(&mut self) {
-        self.tallies.clear();
-    }
-
     /// Snapshot used to compute deltas across a measurement window.
     pub fn snapshot(&self) -> PcieCounters {
         self.clone()
@@ -234,14 +229,6 @@ mod tests {
         let r = c.total_tlp_rate(Nanos::from_micros(1));
         assert!((r.as_mops() - 100.0).abs() < 1e-9);
         assert_eq!(c.tlp_rate(LinkId::Pcie1, Nanos::ZERO).as_per_sec(), 0.0);
-    }
-
-    #[test]
-    fn reset_zeroes() {
-        let mut c = PcieCounters::new();
-        c.count(LinkId::SocAttach, CountDir::Down, 1, 1);
-        c.reset();
-        assert_eq!(c.total_tlps(), 0);
     }
 
     #[test]

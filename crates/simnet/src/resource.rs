@@ -100,14 +100,6 @@ impl Server {
     pub fn served(&self) -> u64 {
         self.served
     }
-
-    /// Utilization over `[0, horizon]`.
-    pub fn utilization(&self, horizon: Nanos) -> f64 {
-        if horizon == Nanos::ZERO {
-            return 0.0;
-        }
-        self.busy.as_nanos() as f64 / horizon.as_nanos() as f64
-    }
 }
 
 /// A pool of `k` identical servers with earliest-free assignment.
@@ -218,11 +210,6 @@ impl Pipe {
         self.derate = factor.max(1.0);
     }
 
-    /// The current degradation multiplier (1.0 = healthy).
-    pub fn derate(&self) -> f64 {
-        self.derate
-    }
-
     /// Service time for a transfer of `bytes`, without reserving it.
     pub fn service_time(&self, bytes: u64) -> Nanos {
         let t = if self.bandwidth.is_zero() {
@@ -252,11 +239,6 @@ impl Pipe {
     pub fn busy_time(&self) -> Nanos {
         self.server.busy_time()
     }
-
-    /// Utilization over `[0, horizon]`.
-    pub fn utilization(&self, horizon: Nanos) -> f64 {
-        self.server.utilization(horizon)
-    }
 }
 
 /// A full-duplex link: two independent [`Pipe`]s, one per direction.
@@ -279,16 +261,6 @@ pub enum Dir {
     Fwd,
     /// The reverse direction.
     Rev,
-}
-
-impl Dir {
-    /// The opposite direction.
-    pub fn flip(self) -> Dir {
-        match self {
-            Dir::Fwd => Dir::Rev,
-            Dir::Rev => Dir::Fwd,
-        }
-    }
 }
 
 impl DuplexPipe {
@@ -437,21 +409,6 @@ mod tests {
         assert_eq!(p.service_time(1000), Nanos::new(12800));
         // Sub-1.0 factors clamp to healthy.
         p.set_derate(0.5);
-        assert_eq!(p.derate(), 1.0);
         assert_eq!(p.service_time(1000), Nanos::new(1000));
-    }
-
-    #[test]
-    fn dir_flip() {
-        assert_eq!(Dir::Fwd.flip(), Dir::Rev);
-        assert_eq!(Dir::Rev.flip(), Dir::Fwd);
-    }
-
-    #[test]
-    fn utilization_bounds() {
-        let mut s = Server::new();
-        s.reserve(Nanos::ZERO, Nanos::new(50));
-        assert!((s.utilization(Nanos::new(100)) - 0.5).abs() < 1e-12);
-        assert_eq!(s.utilization(Nanos::ZERO), 0.0);
     }
 }

@@ -24,6 +24,8 @@
 //! Unlike the `+` variant, the `++` scrambler has no weak low bits, so
 //! taking `% n` or the low bits of [`SimRng::next_u64`] is safe.
 
+use std::sync::Arc;
+
 /// SplitMix64 step: the reference mixer used to expand a 64-bit seed
 /// into xoshiro's 256-bit state (and to derive fork/case seeds).
 #[inline]
@@ -150,9 +152,11 @@ impl SimRng {
 /// A Zipfian-distributed key sampler (used by the key-value workloads).
 ///
 /// Implements the standard rejection-free inverse-CDF-table approach for a
-/// fixed population; good enough for up to ~10M keys.
+/// fixed population; good enough for up to ~10M keys. Clones share the
+/// table, so a stream builds it once and hands a clone to each shard.
+#[derive(Clone)]
 pub struct Zipf {
-    cdf: Vec<f64>,
+    cdf: Arc<[f64]>,
 }
 
 impl Zipf {
@@ -175,7 +179,7 @@ impl Zipf {
         for v in &mut cdf {
             *v /= total;
         }
-        Zipf { cdf }
+        Zipf { cdf: cdf.into() }
     }
 
     /// Samples an item index in `[0, n)`; index 0 is the hottest key.

@@ -60,16 +60,20 @@ fi
 
 # The host LLC must stay exact: its lockstep property test drives the
 # flat, lazily allocated tag arena and the per-line oracle it replaced
-# with the same accesses. Run it by name and refuse a run where the
-# filter matched anything else.
-llc_out=$(cargo test --release --offline -p memsys --lib lockstep_matches_per_line_oracle 2>&1) || {
+# with the same accesses, repeats of the previous access included, and
+# the Xeon-spec test replays the requester's repeated receive-buffer
+# write on both sides of the repeat memo's residency condition. Run the
+# two by name and refuse a run where the filters matched anything else.
+llc_out=$(cargo test --release --offline -p memsys --lib -- \
+    lockstep_matches_per_line_oracle repeated_receive_buffer_write_on_xeon 2>&1) || {
     echo "$llc_out"
-    echo "ci.sh: LLC lockstep oracle test FAILED" >&2
+    echo "ci.sh: LLC oracle tests FAILED" >&2
     exit 1
 }
-if ! grep -q "ok. 1 passed" <<<"$llc_out"; then
+if ! grep -q "ok. 2 passed" <<<"$llc_out"; then
     echo "$llc_out"
-    echo "ci.sh: expected exactly llc::tests::lockstep_matches_per_line_oracle (filtered out or renamed?)" >&2
+    echo "ci.sh: expected exactly llc::tests::lockstep_matches_per_line_oracle +" \
+        "llc::tests::repeated_receive_buffer_write_on_xeon (filtered out or renamed?)" >&2
     exit 1
 fi
 
@@ -119,4 +123,4 @@ for workload in rack_verbs rack_services harness_sweep; do
     fi
 done
 
-echo "ci.sh: build + tests + fmt + clippy (workspace and snicbench) + rustdoc + cluster determinism + golden digests + LLC lockstep oracle (lockstep_matches_per_line_oracle) + DMA-leg digest (dma_legs_match_recorded_digest) + Figure-1 table and KV examples + benchmark smoke all green (offline)"
+echo "ci.sh: build + tests + fmt + clippy (workspace and snicbench) + rustdoc + cluster determinism + golden digests + LLC oracle tests (lockstep_matches_per_line_oracle, repeated_receive_buffer_write_on_xeon) + DMA-leg digest (dma_legs_match_recorded_digest) + Figure-1 table and KV examples + benchmark smoke all green (offline)"

@@ -24,7 +24,7 @@ mod client;
 mod server;
 
 use nicsim::{ClientMachine, DpaStats, Fabric, PathKind, Verb};
-use rdma_sim::transport::{SendFlags, SignalTracker};
+use rdma_sim::transport::SignalTracker;
 use simnet::arrivals::{user_home_addr, AdmissionQueue, ArrivalGen, OpenLoopSpec};
 use simnet::engine::{Engine, Step};
 use simnet::faults::FaultSpec;
@@ -115,7 +115,6 @@ pub(crate) struct StreamAgg {
 pub(crate) struct ShardCounters {
     pub posted: u64,
     pub deferred: u64,
-    pub rnr: u64,
     pub forced_signals: u64,
     pub retransmits: u64,
     pub retry_exhausted: u64,
@@ -347,7 +346,7 @@ impl Io {
                 return None;
             }
             th.cpu_free = now + st.cpu_cost;
-            if th.signal.on_post(SendFlags::unsignaled()) {
+            if th.signal.on_post() {
                 self.counters.forced_signals += 1;
             }
             (now, None)
@@ -485,7 +484,7 @@ impl Shard {
     }
 
     /// Installs the fault schedule on a server shard's fabric (PCIe
-    /// degradation windows, SoC stalls and per-crossing TLP verdicts).
+    /// degradation windows and per-crossing TLP verdicts).
     pub(crate) fn set_faults(&mut self, spec: FaultSpec) {
         self.server_mut().fabric.set_faults(spec);
     }

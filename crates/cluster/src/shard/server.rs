@@ -5,7 +5,6 @@ use memsys::MemOp;
 use nicsim::client::wire_bytes;
 use nicsim::server::pipeline_out;
 use nicsim::{Endpoint, Fabric, RequestDesc, ServerMachine, Verb};
-use rdma_sim::transport::RecvQueue;
 use simnet::arrivals::{Admission, AdmissionQueue};
 use simnet::engine::Engine;
 use simnet::faults::{drive_attempts, fault_key, RetryOutcome};
@@ -22,14 +21,9 @@ use crate::kv::{
 };
 use crate::msg::{FmRespKind, KvOp, KvRespKind, MsgKind, ShardId};
 
-/// Receive-queue depth used by the responder's echo loop (the paper's
-/// framework pre-stocks and auto-replenishes receives, §2.4).
-const SERVER_RQ_DEPTH: usize = 512;
-
 /// A server shard's machine and serving state.
 pub(super) struct Server {
     pub(super) fabric: Fabric,
-    recvq: RecvQueue,
     /// Per-stream admission queues for open-loop streams (None = closed
     /// loop, no admission control).
     pub(super) admission: Vec<Option<AdmissionQueue>>,
@@ -102,7 +96,6 @@ impl Server {
     pub(super) fn new(fabric: Fabric, n_streams: usize) -> Self {
         Server {
             fabric,
-            recvq: RecvQueue::echo_server(SERVER_RQ_DEPTH),
             admission: (0..n_streams).map(|_| None).collect(),
             kv: None,
             fm: None,
@@ -275,7 +268,7 @@ impl Server {
             from,
         };
         let (at, len, reply) = match kind {
-            MsgKind::Request { .. } => self.serve_verb(io, now, rx, kind),
+            MsgKind::Request { .. } => self.serve_verb(now, rx, kind),
             MsgKind::KvReq {
                 op,
                 key,
@@ -356,13 +349,7 @@ impl Server {
     /// [`ServerMachine::serve_verb`] step. An open-loop request passes the
     /// bounded admission queue before touching any responder resource
     /// past the RX wire; a rejection answers with a header-only NACK.
-    fn serve_verb(
-        &mut self,
-        io: &mut Io,
-        now: Nanos,
-        rx: Rx,
-        req: MsgKind,
-    ) -> (Nanos, u64, MsgKind) {
+    fn serve_verb(&mut self, now: Nanos, rx: Rx, req: MsgKind) -> (Nanos, u64, MsgKind) {
         let MsgKind::Request {
             verb,
             payload,
@@ -405,9 +392,6 @@ impl Server {
                 assert_eq!(verb, Verb::Send, "DPA streams are two-sided SENDs");
                 srv.dpa_serve(pipeline_out(&pu), resident, payload).done
             } else {
-                if verb == Verb::Send && !self.recvq.consume() {
-                    io.counters.rnr += 1;
-                }
                 srv.serve_verb(&pu, rx.ready, verb, endpoint, addr, payload)
             };
             let inbound = if verb == Verb::Read { payload } else { 0 };

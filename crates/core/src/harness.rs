@@ -13,7 +13,6 @@
 use nicsim::{Completion, Fabric, PathKind, RequestDesc, Verb};
 use pcie_model::counters::{LinkId, PcieCounters};
 use rdma_sim::doorbell::{PostCostModel, PostMode, PosterKind};
-use rdma_sim::transport::RcParams;
 use simnet::engine::{Engine, Step};
 use simnet::faults::{drive_attempts, fault_key, FaultSpec};
 use simnet::metrics::{CounterId, Hop, HopBreakdown, Registry};
@@ -21,6 +20,16 @@ use simnet::rng::SimRng;
 use simnet::stats::{Histogram, LatencySummary, RateMeter};
 use simnet::time::{measured_window, Bandwidth, Nanos, Rate};
 use simnet::trace::{TraceCat, TraceRing};
+
+/// RC ack timeout: how long a requester waits for an attempt's
+/// response before declaring it lost and retransmitting. About 4x the
+/// worst small-request RTT on the testbed: early enough to matter, late
+/// enough to avoid spurious retries.
+pub const RC_TIMEOUT: Nanos = Nanos::from_micros(20);
+
+/// RC transport retry budget: retransmissions of a timed-out attempt
+/// before the operation is abandoned (ibverbs `retry_cnt`, 3 bits, max 7).
+pub const RC_RETRY_CNT: u32 = 7;
 
 /// Which responder machine a scenario runs against.
 // `Custom` embeds a full MachineSpec (~500 B); scenarios are built a
@@ -185,8 +194,8 @@ pub struct Scenario {
     pub trace_cap: usize,
     /// Fault-injection schedule. The default ([`FaultSpec::none`]) is
     /// inert: no fault plane is installed and the run is byte-identical
-    /// to one that never heard of faults. Stochastic faults retry under
-    /// [`RcParams::default`]'s ack timeout and retry budget.
+    /// to one that never heard of faults. Stochastic faults retry after
+    /// [`RC_TIMEOUT`], up to [`RC_RETRY_CNT`] times.
     pub faults: FaultSpec,
 }
 
@@ -472,7 +481,6 @@ pub fn run_scenario_detailed(
     // so a default scenario runs the exact same instruction stream as
     // one with `faults` explicitly set to `FaultSpec::none()`.
     fabric.set_faults(scenario.faults.clone());
-    let rc = RcParams::default();
 
     // Metrics registry and trace ring (no-ops unless opted in).
     let metrics_on = scenario.metrics;
@@ -567,11 +575,11 @@ pub fn run_scenario_detailed(
         // Reliable-transport loop (shared engine: `drive_attempts`).
         // Each attempt burns full fabric resources (loss is detected
         // only after the frame crossed every hop); the requester times
-        // out `rc.timeout` later and retransmits, up to `rc.retry_cnt`
+        // out `RC_TIMEOUT` later and retransmits, up to `RC_RETRY_CNT`
         // retries before abandoning the operation (no completion
         // recorded; the closed loop reposts). With no stochastic faults
         // this collapses to the single execute of the fault-free path.
-        let outcome = drive_attempts(posted, rc.timeout, rc.retry_cnt, |t, attempt| {
+        let outcome = drive_attempts(posted, RC_TIMEOUT, RC_RETRY_CNT, |t, attempt| {
             fabric.apply_fault_windows(t);
             let (c, bd) = if metrics_on {
                 let (c, bd) = fabric.execute_attributed(t, req);
@@ -616,7 +624,7 @@ pub fn run_scenario_detailed(
             if metrics_on {
                 registry.inc(c_exhausted);
             }
-            eng.schedule((outcome.last_start + rc.timeout).max(now), ev)
+            eng.schedule((outcome.last_start + RC_TIMEOUT).max(now), ev)
                 .expect("repost after retry exhaustion");
             return;
         }

@@ -130,12 +130,6 @@ impl FmStreamSpec {
         self
     }
 
-    /// Override the working-set reuse probability.
-    pub fn reuse_prob(mut self, reuse: f64) -> Self {
-        self.reuse = reuse;
-        self
-    }
-
     /// Override the backing-store miss penalty being competed against.
     pub fn backing_miss(mut self, penalty: Nanos) -> Self {
         self.miss_penalty = penalty;

@@ -70,24 +70,22 @@ impl ClientMachine {
     }
 
     /// Processes an outgoing request whose doorbell reached the NIC at
-    /// `nic_seen`. `wire_payload` is the data the request carries
-    /// (WRITE/SEND payload; 0 for READ); `fetch_payload` is the part the
-    /// NIC must first fetch from client memory (0 for inlined data).
-    /// Returns the instant the message starts onto the wire.
-    pub fn issue(&mut self, nic_seen: Nanos, fetch_payload: u64, wire_payload: u64) -> Nanos {
+    /// `nic_seen`. `payload` is the data the request carries
+    /// (WRITE/SEND payload; 0 for READ), which the NIC first fetches
+    /// from client memory. Returns the instant the message starts onto
+    /// the wire.
+    pub fn issue(&mut self, nic_seen: Nanos, payload: u64) -> Nanos {
         // Reserve the TX *and* RX processing budget of this request up
         // front (2x the PU time): reserving the RX half later, at the
         // response's future arrival time, would block pool units across
         // the request's whole flight time and wildly inflate queueing.
         let pu = self.pu.reserve(nic_seen, self.nic.pu_request_time * 2);
         let pu_out = pipeline_out(&pu);
-        let data_at_nic = if fetch_payload > 0 {
+        let data_at_nic = if payload > 0 {
             // Fetch the payload from client memory by DMA.
             let lat = self.mem_latency();
-            let mem_done = self
-                .mem
-                .dma_access(pu_out + lat, 0, fetch_payload, MemOp::Read);
-            let p = self.pcie.reserve(Dir::Rev, mem_done, fetch_payload);
+            let mem_done = self.mem.dma_access(pu_out + lat, 0, payload, MemOp::Read);
+            let p = self.pcie.reserve(Dir::Rev, mem_done, payload);
             let busy = self.nic.dma_read_fixed + p.finish.saturating_sub(pu_out);
             self.dma.reserve(pu_out, busy);
             p.finish + lat
@@ -96,7 +94,7 @@ impl ClientMachine {
         };
         let w = self
             .wire
-            .reserve(Dir::Fwd, data_at_nic, wire_bytes(wire_payload));
+            .reserve(Dir::Fwd, data_at_nic, wire_bytes(payload));
         w.start
     }
 
@@ -146,7 +144,7 @@ mod tests {
     #[test]
     fn issue_read_needs_no_client_dma() {
         let mut c = cli();
-        let depart = c.issue(Nanos::new(1000), 0, 0);
+        let depart = c.issue(Nanos::new(1000), 0);
         // Just PU time: no payload fetch.
         assert!(depart - Nanos::new(1000) < Nanos::new(500), "{depart}");
     }
@@ -154,9 +152,9 @@ mod tests {
     #[test]
     fn issue_write_fetches_payload() {
         let mut c = cli();
-        let d0 = c.issue(Nanos::new(1000), 0, 0);
+        let d0 = c.issue(Nanos::new(1000), 0);
         let mut c = cli();
-        let d1 = c.issue(Nanos::new(1000), 4096, 4096);
+        let d1 = c.issue(Nanos::new(1000), 4096);
         assert!(d1 > d0, "payload fetch should add latency");
     }
 
@@ -176,7 +174,7 @@ mod tests {
         // charging 2x the PU time (TX + prepaid RX).
         let mut last = Nanos::ZERO;
         for _ in 0..1000 {
-            last = last.max(c.issue(Nanos::ZERO, 0, 0));
+            last = last.max(c.issue(Nanos::ZERO, 0));
         }
         let rate_mops = 1000.0 / last.as_secs_f64() / 1e6;
         // CX-4 spec: 16 / (2 x 220 ns) ~ 36 M/s.

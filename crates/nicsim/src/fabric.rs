@@ -78,9 +78,9 @@ impl Fabric {
         self.faults.as_ref()
     }
 
-    /// Applies the fault plane's scheduled windows (PCIe degradation,
-    /// SoC stalls) in effect at instant `at` to the server machine.
-    /// Transports call this once per attempt; a no-op without windows.
+    /// Applies the fault plane's PCIe degradation windows in effect at
+    /// instant `at` to the server machine. Transports call this once per
+    /// attempt; a no-op without windows.
     pub fn apply_fault_windows(&mut self, at: Nanos) {
         let Some(plane) = self.faults.as_ref() else {
             return;
@@ -89,9 +89,7 @@ impl Fabric {
             return;
         }
         let (slowdown, extra) = plane.pcie_degradation(at);
-        let stall = plane.soc_stall(at);
         self.server.set_pcie_degradation(slowdown, extra);
-        self.server.set_soc_stall(stall);
     }
 
     /// Like [`Fabric::execute`], but also attributes the request's
@@ -111,23 +109,17 @@ impl Fabric {
     }
 
     /// The request leg of a remote exchange: doorbell, client NIC
-    /// (fetching `fetch` bytes of payload from client memory, 0 when
-    /// inlined), then the wire into the server (cut-through at the
-    /// server pipe, bounded by both pipes' bandwidth). Returns the
-    /// server's RX window for the `outbound` wire bytes.
-    fn send_request(
-        &mut self,
-        posted: Nanos,
-        client: usize,
-        fetch: u64,
-        outbound: u64,
-    ) -> Reservation {
+    /// (fetching the `outbound` payload bytes from client memory), then
+    /// the wire into the server (cut-through at the server pipe, bounded
+    /// by both pipes' bandwidth). Returns the server's RX window for the
+    /// `outbound` wire bytes.
+    fn send_request(&mut self, posted: Nanos, client: usize, outbound: u64) -> Reservation {
         let client = self
             .clients
             .get_mut(client)
             .expect("client index out of range");
         let nic_seen = posted + client.mmio_transit();
-        let depart = client.issue(nic_seen, fetch, outbound);
+        let depart = client.issue(nic_seen, outbound);
         let arrive = depart + self.wire.one_way_latency;
         let win = self
             .server
@@ -196,8 +188,7 @@ impl Fabric {
             Verb::Read => (0, req.payload),
             Verb::Write | Verb::Send => (req.payload, ACK_BYTES),
         };
-        let fetch = if req.inline_data { 0 } else { outbound };
-        let win = self.send_request(posted, req.client, fetch, outbound);
+        let win = self.send_request(posted, req.client, outbound);
 
         // Responder NIC processing.
         let pu = self.server.reserve_pu(win.start, ep);

@@ -22,12 +22,10 @@
 
 pub mod client;
 pub mod fabric;
-pub mod onpath;
 pub mod request;
 pub mod server;
 
 pub use client::ClientMachine;
 pub use fabric::Fabric;
-pub use onpath::{OnPathNic, OnPathSpec};
 pub use request::{Completion, Endpoint, PathKind, RequestDesc, Verb};
 pub use server::{DmaLeg, DpaServe, DpaStats, ServerMachine};

@@ -131,11 +131,6 @@ pub struct RequestDesc {
     pub addr: u64,
     /// Index of the issuing client machine (ignored for path 3).
     pub client: usize,
-    /// Whether the payload is inlined in the WQE (WRITE/SEND only): the
-    /// requester CPU copies it into the work request, so the requester
-    /// NIC skips the payload DMA fetch (Kalia et al., paper ref 14;
-    /// applied by the paper's framework §2.4).
-    pub inline_data: bool,
     /// When `Some(resident)`, this SEND terminates at a DPA handler
     /// whose working state is `resident` bytes: the request never
     /// crosses PCIe1 (no DMA legs) but pays the spill penalty when
@@ -153,15 +148,8 @@ impl RequestDesc {
             payload,
             addr,
             client,
-            inline_data: false,
             dpa_resident: None,
         }
-    }
-
-    /// Marks the payload as inlined.
-    pub fn with_inline(mut self) -> Self {
-        self.inline_data = true;
-        self
     }
 
     /// Routes this SEND to a DPA handler holding `resident` bytes of

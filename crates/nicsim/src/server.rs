@@ -240,9 +240,6 @@ pub struct ServerMachine {
     /// Extra per-hop latency while the PCIe fabric is degraded (fault
     /// injection; zero when healthy).
     pcie_extra_latency: Nanos,
-    /// Extra per-message SoC handler time during a stall window (fault
-    /// injection; zero when healthy).
-    soc_stall: Nanos,
 }
 
 impl ServerMachine {
@@ -286,7 +283,6 @@ impl ServerMachine {
             counters: PcieCounters::new(),
             spans: SpanSet::disabled(),
             pcie_extra_latency: Nanos::ZERO,
-            soc_stall: Nanos::ZERO,
             smart,
             spec,
         }
@@ -305,12 +301,6 @@ impl ServerMachine {
             a.set_derate(slowdown);
         }
         self.pcie_extra_latency = extra_latency;
-    }
-
-    /// Applies (or clears, with zero) a transient SoC-core stall: every
-    /// SoC-handled message pays `stall` extra service time.
-    pub fn set_soc_stall(&mut self, stall: Nanos) {
-        self.soc_stall = stall;
     }
 
     /// The machine spec.
@@ -786,7 +776,7 @@ impl ServerMachine {
             }
             Endpoint::Soc => {
                 let s = *self.smart.as_ref().expect("SoC endpoint needs a SmartNIC");
-                let t = s.soc.msg_handle_time + self.soc_stall;
+                let t = s.soc.msg_handle_time;
                 let extra = s.soc.msg_extra_latency;
                 self.soc_cpu
                     .as_mut()

@@ -120,24 +120,3 @@ fn fabric_robust_under_random_load() {
         Ok(())
     });
 }
-
-/// Inlined WRITEs are never slower than non-inlined ones on an idle
-/// fabric (they skip the payload fetch).
-#[test]
-fn inline_never_slower() {
-    check("inline_never_slower", |g| {
-        let payload = g.u64(1..220);
-        let mut f1 = Fabric::bluefield_testbed(1);
-        let plain = f1.execute(
-            Nanos::ZERO,
-            RequestDesc::new(Verb::Write, PathKind::Snic1, payload, 0, 0),
-        );
-        let mut f2 = Fabric::bluefield_testbed(1);
-        let inline = f2.execute(
-            Nanos::ZERO,
-            RequestDesc::new(Verb::Write, PathKind::Snic1, payload, 0, 0).with_inline(),
-        );
-        prop_assert!(inline.latency() <= plain.latency());
-        Ok(())
-    });
-}

@@ -16,13 +16,11 @@
 #![warn(missing_docs)]
 
 pub mod counters;
-pub mod credits;
 pub mod link;
 pub mod switch;
 pub mod tlp;
 
 pub use counters::{LinkId, PcieCounters};
-pub use credits::{CreditGate, CreditPool};
 pub use link::{PcieGen, PcieLinkSpec};
 pub use switch::SwitchSpec;
 pub use tlp::{completion_tlps, read_request_tlps, tlp_count, write_tlps, TlpBudget};

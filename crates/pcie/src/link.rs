@@ -126,11 +126,6 @@ impl PcieLinkSpec {
         self.raw_bandwidth().scale(eff)
     }
 
-    /// Usable payload bandwidth at this link's own MPS.
-    pub fn payload_bandwidth_at_mps(&self) -> Bandwidth {
-        self.payload_bandwidth(self.mps)
-    }
-
     /// Wire bytes (payload + headers) for a transfer of `payload_bytes`
     /// segmented at this link's MPS.
     pub fn wire_bytes(&self, payload_bytes: u64) -> u64 {

@@ -1,21 +1,17 @@
-//! `rdma-sim` — a verbs-like RDMA API over the simulated SmartNIC fabric.
+//! `rdma-sim` — the requester-side RDMA posting models.
 //!
-//! Two layers:
-//!
-//! * [`verbs`] — the application-facing object model (Context / Pd / Mr /
-//!   Cq / Qp), used by the quickstart example the way ibverbs would be,
-//!   with the protection, QP-state, RNR and RC-recovery contract that
-//!   the failure-injection tests pin;
 //! * [`doorbell`] — the requester-side posting cost model behind the
-//!   paper's Advice #4 (when doorbell batching helps and when it hurts).
+//!   paper's Advice #4 (when doorbell batching helps and when it hurts),
+//!   charged on every post by the harness and the rack runtime;
+//! * [`transport`] — the unsignaled-send bookkeeping the rack runtime
+//!   keeps per requester thread, forcing one signaled post per
+//!   [`SIGNAL_INTERVAL`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod doorbell;
 pub mod transport;
-pub mod verbs;
 
 pub use doorbell::{PostCostModel, PostMode, PosterKind};
-pub use transport::{QpState, RecvQueue, SendFlags, SignalTracker, MAX_INLINE, SIGNAL_INTERVAL};
-pub use verbs::{Context, Cq, FabricRef, Mr, Pd, Qp, QpType, RdmaError, Wc};
+pub use transport::{SignalTracker, SIGNAL_INTERVAL};

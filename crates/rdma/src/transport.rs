@@ -1,281 +1,15 @@
-//! Queue-pair state machine, send flags and receive queues.
+//! Unsignaled-send bookkeeping.
 //!
-//! The subset of ibverbs transport semantics the paper's framework
-//! relies on:
-//!
-//! * the RESET -> INIT -> RTR -> RTS state ladder (posting sends
-//!   requires RTS; posting receives requires INIT or later);
-//! * *unsignaled* sends (no CQE; the paper applies them as a known
-//!   optimization, §2.4) with the mandatory periodic signaled request
-//!   that keeps the send queue reapable;
-//! * *inline* sends (payload copied into the WQE, skipping the payload
-//!   DMA on the requester NIC) with the device's inline size cap;
-//! * receive-queue depth accounting with RNR (receiver-not-ready)
-//!   failures when SENDs outrun posted RECVs;
-//! * IB-style RC reliability ([`RcParams`]): transport retransmission
-//!   with an ack timeout and `retry_cnt` budget, RNR NAK exponential
-//!   backoff, and QP transition to `Error` on retry exhaustion, with
-//!   per-QP [`RcCounters`].
-
-use simnet::time::Nanos;
-
-/// Queue-pair states (the ibverbs ladder).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum QpState {
-    /// Freshly created.
-    Reset,
-    /// Initialized (receives may be posted).
-    Init,
-    /// Ready to receive.
-    Rtr,
-    /// Ready to send.
-    Rts,
-    /// Errored (e.g. RNR beyond retry budget).
-    Error,
-}
-
-/// Invalid state transition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InvalidTransition {
-    /// State before the attempt.
-    pub from: QpState,
-    /// Requested state.
-    pub to: QpState,
-}
-
-impl core::fmt::Display for InvalidTransition {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "invalid QP transition {:?} -> {:?}", self.from, self.to)
-    }
-}
-
-impl std::error::Error for InvalidTransition {}
-
-/// Checks the ibverbs ladder: each state may only be entered from its
-/// predecessor (plus: any state may move to `Error`, and `Error`/any
-/// may reset to `Reset`).
-pub fn check_transition(from: QpState, to: QpState) -> Result<(), InvalidTransition> {
-    use QpState::*;
-    let ok = matches!(
-        (from, to),
-        (Reset, Init) | (Init, Rtr) | (Rtr, Rts) | (_, Error) | (_, Reset)
-    );
-    if ok {
-        Ok(())
-    } else {
-        Err(InvalidTransition { from, to })
-    }
-}
-
-/// Per-post send flags.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SendFlags {
-    /// Generate a CQE for this request.
-    pub signaled: bool,
-    /// Inline the payload into the WQE.
-    pub inline: bool,
-}
-
-impl Default for SendFlags {
-    fn default() -> Self {
-        SendFlags {
-            signaled: true,
-            inline: false,
-        }
-    }
-}
-
-impl SendFlags {
-    /// The unsignaled optimization (one signaled post per
-    /// `SIGNAL_INTERVAL` keeps the queue reapable).
-    pub fn unsignaled() -> Self {
-        SendFlags {
-            signaled: false,
-            inline: false,
-        }
-    }
-
-    /// Inline + signaled.
-    pub fn inline() -> Self {
-        SendFlags {
-            signaled: true,
-            inline: true,
-        }
-    }
-}
-
-/// Maximum inline payload supported by the modelled NICs (bytes).
-pub const MAX_INLINE: u64 = 220;
+//! The paper's framework posts *unsignaled* sends (no CQE; a known
+//! optimization, §2.4) with the mandatory periodic signaled request
+//! that keeps the send queue reapable.
 
 /// How often an unsignaled stream must still signal to reap the send
 /// queue (every N posts).
 pub const SIGNAL_INTERVAL: u64 = 64;
 
-/// RC transport reliability parameters (the ibverbs QP attributes the
-/// paper's framework leaves at their defaults).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RcParams {
-    /// Transport retry budget: how many times a timed-out attempt is
-    /// retransmitted before the QP moves to `Error` (ibverbs
-    /// `retry_cnt`, 3 bits, max 7).
-    pub retry_cnt: u32,
-    /// RNR retry budget before the QP moves to `Error` (ibverbs
-    /// `rnr_retry`; 7 means "infinite" on real hardware, modelled here
-    /// as a plain budget so tests terminate).
-    pub rnr_retry: u32,
-    /// Ack timeout: how long the requester waits for the response of an
-    /// attempt before declaring it lost and retransmitting.
-    pub timeout: Nanos,
-    /// First RNR NAK backoff delay; doubles per consecutive RNR up to
-    /// [`RcParams::rnr_delay_max`].
-    pub rnr_delay_base: Nanos,
-    /// Backoff ladder cap.
-    pub rnr_delay_max: Nanos,
-}
-
-impl Default for RcParams {
-    fn default() -> Self {
-        RcParams {
-            retry_cnt: 7,
-            rnr_retry: 7,
-            // ~4x the worst small-request RTT on the testbed: early
-            // enough to matter, late enough to avoid spurious retries.
-            timeout: Nanos::from_micros(20),
-            rnr_delay_base: Nanos::new(640),
-            rnr_delay_max: Nanos::from_micros(40),
-        }
-    }
-}
-
-impl RcParams {
-    /// The RNR backoff delay before retry number `attempt` (0-based):
-    /// `min(base << attempt, max)` — a truncated binary exponential
-    /// ladder like the ibverbs RNR timer field encodes.
-    pub fn rnr_delay(&self, attempt: u32) -> Nanos {
-        let shifted = self
-            .rnr_delay_base
-            .as_nanos()
-            .saturating_mul(1u64.checked_shl(attempt).unwrap_or(u64::MAX));
-        Nanos::new(shifted.min(self.rnr_delay_max.as_nanos()))
-    }
-}
-
-/// Per-QP reliability counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RcCounters {
-    /// Transport attempts issued (first tries + retransmissions).
-    pub attempts: u64,
-    /// Retransmissions after an ack timeout.
-    pub retransmits: u64,
-    /// Posts that exhausted `retry_cnt` and errored the QP.
-    pub retry_exhausted: u64,
-    /// RNR NAKs received (peer receive queue empty at arrival).
-    pub rnr_naks: u64,
-    /// Total simulated time spent in RNR backoff.
-    pub rnr_backoff: Nanos,
-}
-
-/// A receive queue with depth accounting.
-///
-/// An optional *replenish interval* models a responder application that
-/// reposts one receive every `interval` of simulated time — the state a
-/// requester's RNR backoff ladder is waiting out. Without it the queue
-/// is purely credit-counted, exactly as before.
-#[derive(Debug, Clone)]
-pub struct RecvQueue {
-    depth: usize,
-    posted: usize,
-    /// Replenish automatically on consumption (the paper's echo server
-    /// reposts its receives in a loop).
-    pub auto_replenish: bool,
-    rnr_events: u64,
-    replenish_every: Option<Nanos>,
-    /// Time-based credits granted so far (monotone in the `now` passed
-    /// to [`RecvQueue::consume_at`]).
-    granted: u64,
-}
-
-impl RecvQueue {
-    /// Creates a queue with `depth` slots, initially empty.
-    pub fn new(depth: usize) -> Self {
-        RecvQueue {
-            depth,
-            posted: 0,
-            auto_replenish: false,
-            rnr_events: 0,
-            replenish_every: None,
-            granted: 0,
-        }
-    }
-
-    /// A pre-stocked, self-replenishing queue (echo-server behaviour).
-    pub fn echo_server(depth: usize) -> Self {
-        RecvQueue {
-            depth,
-            posted: depth,
-            auto_replenish: true,
-            rnr_events: 0,
-            replenish_every: None,
-            granted: 0,
-        }
-    }
-
-    /// Models a responder that reposts one receive every `interval`
-    /// (starting at `interval`, via [`RecvQueue::consume_at`]).
-    pub fn set_replenish_interval(&mut self, interval: Nanos) {
-        self.replenish_every = Some(interval);
-    }
-
-    /// Posts `n` receive WQEs. Returns how many actually fit.
-    pub fn post(&mut self, n: usize) -> usize {
-        let fit = n.min(self.depth - self.posted);
-        self.posted += fit;
-        fit
-    }
-
-    /// Consumes one receive for an inbound SEND; `false` = RNR.
-    pub fn consume(&mut self) -> bool {
-        self.consume_at(Nanos::ZERO)
-    }
-
-    /// Consumes one receive at simulated instant `now`, counting any
-    /// interval-replenished credits that accrued by then; `false` = RNR.
-    pub fn consume_at(&mut self, now: Nanos) -> bool {
-        if let Some(iv) = self.replenish_every {
-            // One repost at t = iv, 2*iv, ...; a tick that finds the
-            // queue full is skipped (the responder has nothing to do).
-            let due = now.as_nanos() / iv.as_nanos().max(1);
-            while self.granted < due {
-                self.granted += 1;
-                if self.posted < self.depth {
-                    self.posted += 1;
-                }
-            }
-        }
-        if self.posted == 0 {
-            self.rnr_events += 1;
-            return false;
-        }
-        self.posted -= 1;
-        if self.auto_replenish {
-            self.posted += 1;
-        }
-        true
-    }
-
-    /// Posted (available) receives.
-    pub fn available(&self) -> usize {
-        self.posted
-    }
-
-    /// RNR events observed.
-    pub fn rnr_events(&self) -> u64 {
-        self.rnr_events
-    }
-}
-
 /// Tracks the unsignaled-send bookkeeping of one send queue: which posts
-/// get CQEs and when the queue would overflow without signaling.
+/// the periodic rule forces to signal so the queue never overflows.
 #[derive(Debug, Clone, Default)]
 pub struct SignalTracker {
     posts: u64,
@@ -287,23 +21,12 @@ impl SignalTracker {
         Self::default()
     }
 
-    /// Registers a post with `flags`; returns whether this post must be
-    /// signaled (either requested, or forced by the periodic rule).
-    pub fn on_post(&mut self, flags: SendFlags) -> bool {
+    /// Registers an unsignaled post; returns whether the periodic rule
+    /// forces this post to be signaled.
+    pub fn on_post(&mut self) -> bool {
         self.posts += 1;
-        flags.signaled || self.posts.is_multiple_of(SIGNAL_INTERVAL)
+        self.posts.is_multiple_of(SIGNAL_INTERVAL)
     }
-
-    /// Total posts seen.
-    pub fn posts(&self) -> u64 {
-        self.posts
-    }
-}
-
-/// CPU-side cost saving of inlining a payload versus building a gather
-/// WQE: the copy costs ~0.25 ns/byte but saves the NIC's payload fetch.
-pub fn inline_copy_cost(bytes: u64) -> Nanos {
-    Nanos::from_nanos_f64(bytes as f64 * 0.25)
 }
 
 #[cfg(test)]
@@ -311,114 +34,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ladder_up_is_valid() {
-        use QpState::*;
-        assert!(check_transition(Reset, Init).is_ok());
-        assert!(check_transition(Init, Rtr).is_ok());
-        assert!(check_transition(Rtr, Rts).is_ok());
-    }
-
-    #[test]
-    fn skipping_states_is_invalid() {
-        use QpState::*;
-        assert!(check_transition(Reset, Rts).is_err());
-        assert!(check_transition(Init, Rts).is_err());
-        assert!(check_transition(Rts, Rtr).is_err());
-    }
-
-    #[test]
-    fn error_and_reset_reachable_from_anywhere() {
-        use QpState::*;
-        for s in [Reset, Init, Rtr, Rts, Error] {
-            assert!(check_transition(s, Error).is_ok());
-            assert!(check_transition(s, Reset).is_ok());
-        }
-    }
-
-    #[test]
-    fn recv_queue_depth_and_rnr() {
-        let mut rq = RecvQueue::new(2);
-        assert_eq!(rq.post(5), 2, "only the depth fits");
-        assert!(rq.consume());
-        assert!(rq.consume());
-        assert!(!rq.consume(), "empty queue is RNR");
-        assert_eq!(rq.rnr_events(), 1);
-        assert_eq!(rq.post(1), 1);
-        assert!(rq.consume());
-    }
-
-    #[test]
-    fn rnr_ladder_doubles_and_caps() {
-        let p = RcParams {
-            rnr_delay_base: Nanos::new(100),
-            rnr_delay_max: Nanos::new(450),
-            ..RcParams::default()
-        };
-        assert_eq!(p.rnr_delay(0), Nanos::new(100));
-        assert_eq!(p.rnr_delay(1), Nanos::new(200));
-        assert_eq!(p.rnr_delay(2), Nanos::new(400));
-        assert_eq!(p.rnr_delay(3), Nanos::new(450), "capped");
-        assert_eq!(p.rnr_delay(63), Nanos::new(450));
-        assert_eq!(p.rnr_delay(64), Nanos::new(450), "shift overflow safe");
-    }
-
-    #[test]
-    fn replenish_interval_grants_credits_over_time() {
-        let mut rq = RecvQueue::new(4);
-        rq.set_replenish_interval(Nanos::new(100));
-        assert!(!rq.consume_at(Nanos::new(50)), "nothing reposted yet");
-        assert!(rq.consume_at(Nanos::new(100)), "first repost due");
-        assert!(!rq.consume_at(Nanos::new(150)), "credit already used");
-        // Two more ticks passed by t=350 (t=200, t=300).
-        assert!(rq.consume_at(Nanos::new(350)));
-        assert!(rq.consume_at(Nanos::new(350)));
-        assert!(!rq.consume_at(Nanos::new(350)));
-        assert_eq!(rq.rnr_events(), 3);
-    }
-
-    #[test]
-    fn replenish_ticks_skip_when_full() {
-        let mut rq = RecvQueue::new(2);
-        rq.set_replenish_interval(Nanos::new(10));
-        // 100 ticks due, but only 2 fit; the rest are skipped, not
-        // banked.
-        assert!(rq.consume_at(Nanos::new(1000)));
-        assert!(rq.consume_at(Nanos::new(1000)));
-        assert!(!rq.consume_at(Nanos::new(1000)));
-        assert_eq!(rq.available(), 0);
-    }
-
-    #[test]
-    fn echo_server_never_rnrs() {
-        let mut rq = RecvQueue::echo_server(4);
-        for _ in 0..100 {
-            assert!(rq.consume());
-        }
-        assert_eq!(rq.rnr_events(), 0);
-    }
-
-    #[test]
     fn unsignaled_signals_periodically() {
         let mut t = SignalTracker::new();
         let mut signaled = 0;
         for _ in 0..SIGNAL_INTERVAL * 3 {
-            if t.on_post(SendFlags::unsignaled()) {
+            if t.on_post() {
                 signaled += 1;
             }
         }
         assert_eq!(signaled, 3, "one forced signal per interval");
-    }
-
-    #[test]
-    fn signaled_posts_always_signal() {
-        let mut t = SignalTracker::new();
-        assert!(t.on_post(SendFlags::default()));
-        assert!(t.on_post(SendFlags::inline()));
-    }
-
-    #[test]
-    fn inline_cost_scales() {
-        assert!(inline_copy_cost(220) > inline_copy_cost(32));
-        assert_eq!(inline_copy_cost(0), Nanos::ZERO);
     }
 }

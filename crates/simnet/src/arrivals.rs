@@ -437,18 +437,6 @@ impl OpenLoopSpec {
         }
     }
 
-    /// Overrides the arrival process.
-    pub fn with_process(mut self, process: ArrivalProcess) -> Self {
-        self.process = process;
-        self
-    }
-
-    /// Overrides the logical-user count.
-    pub fn with_users(mut self, users: u64) -> Self {
-        self.users = users;
-        self
-    }
-
     /// Overrides the admission queue capacity.
     pub fn with_queue_cap(mut self, cap: usize) -> Self {
         self.queue_cap = cap;

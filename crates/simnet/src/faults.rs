@@ -1,10 +1,9 @@
 //! Deterministic fault injection.
 //!
 //! A [`FaultSpec`] describes seeded, schedulable fault processes — wire
-//! frame loss, per-crossing PCIe TLP corruption, PCIe link
-//! degradation windows (Gen4 -> Gen1 retraining on the Bluefield-2) and
-//! transient SoC-core stalls. A [`FaultPlane`] turns the spec into
-//! verdicts the simulators consult.
+//! frame loss, per-crossing PCIe TLP corruption and PCIe link
+//! degradation windows (Gen4 -> Gen1 retraining on the Bluefield-2). A
+//! [`FaultPlane`] turns the spec into verdicts the simulators consult.
 //!
 //! Two properties drive the design:
 //!
@@ -20,7 +19,7 @@
 //!   event-schedule changes — outputs stay byte-identical to a build
 //!   without the fault plane.
 //!
-//! Time-indexed faults (degradation windows, stalls) are *scheduled*,
+//! Time-indexed faults (degradation windows) are *scheduled*,
 //! not stochastic: they are `[from, to)` windows in simulated time, so
 //! they too are independent of simulation order.
 
@@ -54,31 +53,6 @@ impl DegradedWindow {
     }
 }
 
-/// A scheduled transient SoC-core stall: message handling on the SoC
-/// pays `stall` extra service time inside the window (e.g. a firmware
-/// interrupt storm or thermal throttle on the A72 cluster).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StallWindow {
-    /// Window start (inclusive).
-    pub from: Nanos,
-    /// Window end (exclusive).
-    pub to: Nanos,
-    /// Extra per-message service time while stalled.
-    pub stall: Nanos,
-}
-
-impl StallWindow {
-    /// Whether the window covers instant `at`.
-    pub fn covers(&self, at: Nanos) -> bool {
-        self.from <= at && at < self.to
-    }
-
-    /// Whether the window would change any behaviour at all.
-    pub fn is_inert(&self) -> bool {
-        self.from >= self.to || self.stall == Nanos::ZERO
-    }
-}
-
 /// A complete fault schedule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultSpec {
@@ -91,8 +65,6 @@ pub struct FaultSpec {
     pub pcie_corrupt: f64,
     /// Scheduled PCIe degradation windows.
     pub pcie_windows: Vec<DegradedWindow>,
-    /// Scheduled SoC-core stall windows.
-    pub soc_stalls: Vec<StallWindow>,
 }
 
 impl Default for FaultSpec {
@@ -109,7 +81,6 @@ impl FaultSpec {
             wire_loss: 0.0,
             pcie_corrupt: 0.0,
             pcie_windows: Vec::new(),
-            soc_stalls: Vec::new(),
         }
     }
 
@@ -137,12 +108,6 @@ impl FaultSpec {
         self
     }
 
-    /// Adds an SoC stall window.
-    pub fn with_soc_stall(mut self, w: StallWindow) -> Self {
-        self.soc_stalls.push(w);
-        self
-    }
-
     /// Whether this schedule can never change any behaviour. Inert specs
     /// install no [`FaultPlane`], keeping the healthy path byte-identical
     /// to a build without fault injection.
@@ -150,7 +115,6 @@ impl FaultSpec {
         self.wire_loss <= 0.0
             && self.pcie_corrupt <= 0.0
             && self.pcie_windows.iter().all(DegradedWindow::is_inert)
-            && self.soc_stalls.iter().all(StallWindow::is_inert)
     }
 }
 
@@ -199,9 +163,8 @@ pub struct RetryOutcome<T> {
 /// roughly twice as often as path ① at equal corruption rates.
 ///
 /// This is the one retry engine shared by the single-machine harness,
-/// the cluster's path-③ streams, the KV value fetch, the far-memory
-/// tier and the RC queue pairs of the verbs API, so the crossing cost
-/// model lands once.
+/// the cluster's path-③ streams, the KV value fetch and the far-memory
+/// tier, so the crossing cost model lands once.
 pub fn drive_attempts<T>(
     start: Nanos,
     timeout: Nanos,
@@ -297,9 +260,9 @@ impl FaultPlane {
         self.spec.wire_loss > 0.0 || self.spec.pcie_corrupt > 0.0
     }
 
-    /// Whether any scheduled window (degradation or stall) exists.
+    /// Whether any scheduled degradation window exists.
     pub fn has_windows(&self) -> bool {
-        !self.spec.pcie_windows.is_empty() || !self.spec.soc_stalls.is_empty()
+        !self.spec.pcie_windows.is_empty()
     }
 
     /// The PCIe degradation in effect at `at`: `(slowdown, extra_latency)`.
@@ -314,17 +277,6 @@ impl FaultPlane {
             }
         }
         (slowdown, extra)
-    }
-
-    /// The SoC stall in effect at `at` (sum of covering windows).
-    pub fn soc_stall(&self, at: Nanos) -> Nanos {
-        let mut stall = Nanos::ZERO;
-        for w in &self.spec.soc_stalls {
-            if w.covers(at) {
-                stall += w.stall;
-            }
-        }
-        stall
     }
 }
 
@@ -349,12 +301,6 @@ mod tests {
             extra_latency: Nanos::ZERO,
         };
         assert!(FaultPlane::new(FaultSpec::none().with_pcie_window(w)).is_none());
-        let s = StallWindow {
-            from: Nanos::ZERO,
-            to: Nanos::new(100),
-            stall: Nanos::ZERO,
-        };
-        assert!(FaultPlane::new(FaultSpec::none().with_soc_stall(s)).is_none());
     }
 
     #[test]
@@ -431,26 +377,6 @@ mod tests {
         assert_eq!(p.pcie_degradation(Nanos::new(175)), (6.0, Nanos::new(15)));
         assert_eq!(p.pcie_degradation(Nanos::new(250)), (3.0, Nanos::new(5)));
         assert_eq!(p.pcie_degradation(Nanos::new(300)), (1.0, Nanos::ZERO));
-    }
-
-    #[test]
-    fn soc_stalls_sum() {
-        let spec = FaultSpec::none()
-            .with_soc_stall(StallWindow {
-                from: Nanos::ZERO,
-                to: Nanos::new(100),
-                stall: Nanos::new(40),
-            })
-            .with_soc_stall(StallWindow {
-                from: Nanos::new(50),
-                to: Nanos::new(150),
-                stall: Nanos::new(60),
-            });
-        let p = FaultPlane::new(spec).expect("not inert");
-        assert_eq!(p.soc_stall(Nanos::new(10)), Nanos::new(40));
-        assert_eq!(p.soc_stall(Nanos::new(75)), Nanos::new(100));
-        assert_eq!(p.soc_stall(Nanos::new(120)), Nanos::new(60));
-        assert_eq!(p.soc_stall(Nanos::new(200)), Nanos::ZERO);
     }
 
     #[test]

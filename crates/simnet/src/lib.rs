@@ -37,7 +37,7 @@ pub use arrivals::{
     Admission, AdmissionQueue, Arrival, ArrivalGen, ArrivalProcess, DropPolicy, OpenLoopSpec,
 };
 pub use engine::{BaselineEngine, Engine, ScheduleError, Step};
-pub use faults::{fault_key, DegradedWindow, FaultPlane, FaultSpec, StallWindow};
+pub use faults::{fault_key, DegradedWindow, FaultPlane, FaultSpec};
 pub use metrics::{CounterId, HistogramId, Hop, HopBreakdown, Registry, SpanSet};
 pub use resource::{Dir, DuplexPipe, MultiServer, Pipe, Reservation, Server};
 pub use rng::SimRng;

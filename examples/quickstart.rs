@@ -1,43 +1,22 @@
-//! Quickstart: open the simulated testbed, issue RDMA verbs over each
-//! SmartNIC communication path, and ask the advisor about a workload.
+//! Quickstart: measure unloaded READ latency over two SmartNIC
+//! communication paths, and ask the advisor about a workload.
 //!
 //! Run with `cargo run --release --example quickstart`.
 
-use offpath_smartnic::nicsim::{Endpoint, Fabric, PathKind, Verb};
-use offpath_smartnic::rdma::verbs::{Context, QpType};
-use offpath_smartnic::simnet::time::Nanos;
+use offpath_smartnic::nicsim::{PathKind, Verb};
 use offpath_smartnic::study::advisor::{OffloadAdvisor, WorkloadDesc};
+use offpath_smartnic::study::harness::measure_latency;
 
 fn main() {
-    // A Bluefield-2 server plus two client machines (the paper's testbed
-    // in miniature).
-    let ctx = Context::new(Fabric::bluefield_testbed(2));
-    let pd = ctx.alloc_pd();
-    let cq = pd.create_cq();
-
-    // Register 1 MiB in host memory and 1 MiB in SoC memory.
-    let host_mr = pd.register_mr(Endpoint::Host, 0x10_0000, 1 << 20);
-    let soc_mr = pd.register_mr(Endpoint::Soc, 0x20_0000, 1 << 20);
-
-    // One RC queue pair per path.
-    let mut qp_host = pd.create_qp(QpType::Rc, PathKind::Snic1, 0, &cq);
-    let mut qp_soc = pd.create_qp(QpType::Rc, PathKind::Snic2, 0, &cq);
-
     println!("== one-sided READ latency, path 1 (host) vs path 2 (SoC) ==");
-    // Unloaded latency methodology: one request at a time, spaced out so
-    // they never share a queue (paper §2.4 uses a single requester).
-    for (i, (name, qp, mr)) in [
-        ("client -> host (SNIC 1)", &mut qp_host, &host_mr),
-        ("client -> SoC  (SNIC 2)", &mut qp_soc, &soc_mr),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        let t0 = Nanos::from_micros(10 + i as u64 * 50);
-        qp.post_read(t0, mr, 4096, 64).expect("in-bounds read");
-        let done = cq.next_event_time().expect("completion pending");
-        let wc = &cq.poll(done)[0];
-        println!("  {name}: {}", wc.timing.latency());
+    // Unloaded latency methodology (paper §2.4): one requester thread
+    // with one outstanding 64 B READ against a Bluefield-2 server.
+    for (name, path) in [
+        ("client -> host (SNIC 1)", PathKind::Snic1),
+        ("client -> SoC  (SNIC 2)", PathKind::Snic2),
+    ] {
+        let r = measure_latency(path, Verb::Read, 64);
+        println!("  {name}: {}", r.latency.p50);
     }
 
     println!("\n== advisor check: 16 MB READs against the SoC ==");

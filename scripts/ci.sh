@@ -92,9 +92,11 @@ if ! grep -q "ok. 1 passed" <<<"$dma_out"; then
     exit 1
 fi
 
-# Smoke the cluster runtime end to end through its example, and the
-# fault-injection, open-loop, KV-service, far-memory and BF-3 DPA
-# sweeps through the figure runner.
+# Smoke the README's first example (harness latency on paths 1 and 2,
+# then the advisor), the cluster runtime end to end through its example,
+# and the fault-injection, open-loop, KV-service, far-memory and BF-3
+# DPA sweeps through the figure runner.
+cargo run --release --offline -p offpath-smartnic --example quickstart
 cargo run --release --offline -p offpath-smartnic --example incast -- --quick
 cargo run --release --offline -p snic-bench --bin run_all -- --only 15 --quick
 cargo run --release --offline -p snic-bench --bin run_all -- --only 16 --quick
@@ -123,4 +125,4 @@ for workload in rack_verbs rack_services harness_sweep; do
     fi
 done
 
-echo "ci.sh: build + tests + fmt + clippy (workspace and snicbench) + rustdoc + cluster determinism + golden digests + LLC oracle tests (lockstep_matches_per_line_oracle, repeated_receive_buffer_write_on_xeon) + DMA-leg digest (dma_legs_match_recorded_digest) + Figure-1 table and KV examples + benchmark smoke all green (offline)"
+echo "ci.sh: build + tests + fmt + clippy (workspace and snicbench) + rustdoc + cluster determinism + golden digests + LLC oracle tests (lockstep_matches_per_line_oracle, repeated_receive_buffer_write_on_xeon) + DMA-leg digest (dma_legs_match_recorded_digest) + quickstart example + Figure-1 table and KV examples + benchmark smoke all green (offline)"

@@ -41,9 +41,13 @@
 //!
 //! Undelivered messages wait in [`Pending`], one bucket per departure
 //! epoch. No message departs before the epoch that emitted it, so each
-//! merge routes exactly one bucket, sorted by key. Deliveries are then
-//! grouped so each destination shard is locked once per epoch, and the
-//! outbox, bucket and routing buffers are recycled across epochs.
+//! merge routes exactly one bucket, sorted by key. Each routed message
+//! goes onto its destination shard's list in [`Arrivals`], which also
+//! keeps the destinations in order of their first arrival; delivery
+//! then locks each destination once and schedules its list in routing
+//! order. Shards share nothing but messages, so the order in which the
+//! destinations are served cannot show. The outbox, the buckets and the
+//! lists keep their allocations across epochs.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -149,6 +153,31 @@ impl Pending {
     }
 }
 
+/// One epoch's routed messages, as `(arrive, drained, message)`: a list
+/// per destination shard in global routing order, and the shards that
+/// have one, in order of their first arrival.
+struct Arrivals {
+    by_dst: Vec<Vec<(Nanos, Nanos, NetMsg)>>,
+    dsts: Vec<usize>,
+}
+
+impl Arrivals {
+    fn new(shards: usize) -> Self {
+        Arrivals {
+            by_dst: (0..shards).map(|_| Vec::new()).collect(),
+            dsts: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, arrive: Nanos, drained: Nanos, m: NetMsg) {
+        let list = &mut self.by_dst[m.dst];
+        if list.is_empty() {
+            self.dsts.push(m.dst);
+        }
+        list.push((arrive, drained, m));
+    }
+}
+
 /// The earliest instant anything can still happen: the minimum over
 /// every shard's cached next event and every undelivered message's
 /// departure. Departures must participate, otherwise the driver could
@@ -168,10 +197,9 @@ fn next_time(cache: &[AtomicU64], pending: &Pending) -> Option<Nanos> {
 /// is known.
 ///
 /// Routing order is the global key order (port arbitration is
-/// stateful), but deliveries are then grouped by destination so each
-/// target shard is locked exactly once; the grouping is stable, so each
-/// shard still observes its arrivals in the global order restricted to
-/// it — the exact sequence the unbatched loop produced.
+/// stateful), and each destination's list keeps it, so each shard
+/// observes its arrivals in the global order restricted to it — the
+/// exact sequence the unbatched loop produced — while being locked once.
 #[allow(clippy::too_many_arguments)]
 fn merge(
     cells: &[Mutex<Shard>],
@@ -180,7 +208,7 @@ fn merge(
     switch: &mut SwitchFabric,
     pending: &mut Pending,
     outbox: &mut Vec<NetMsg>,
-    routed: &mut Vec<(usize, Nanos, Nanos, NetMsg)>,
+    arrivals: &mut Arrivals,
     epoch: u64,
 ) {
     for &i in active {
@@ -194,22 +222,16 @@ fn merge(
         // uplink reservation is burned but nothing arrives — recovery is
         // the requester's timeout, never the switch's.
         if let Some(d) = switch.route(&m) {
-            routed.push((m.dst, d.arrive, d.drained, m));
+            arrivals.push(d.arrive, d.drained, m);
         }
     });
-    routed.sort_by_key(|r| r.0); // stable: per-destination order survives
-    let mut i = 0;
-    while i < routed.len() {
-        let dst = routed[i].0;
+    for dst in arrivals.dsts.drain(..) {
         let mut shard = cells[dst].lock().expect(UNPOISONED);
-        while i < routed.len() && routed[i].0 == dst {
-            let (_, arrive, drained, m) = &routed[i];
-            shard.deliver(*arrive, m, *drained);
-            i += 1;
+        for (arrive, drained, m) in arrivals.by_dst[dst].drain(..) {
+            shard.deliver(arrive, &m, drained);
         }
         refresh_cache(&cache[dst], &shard);
     }
-    routed.clear();
 }
 
 /// Low half of [`Gate::claims`]: the exclusive top of the unclaimed range.
@@ -419,7 +441,7 @@ pub(crate) fn drive(
         .collect();
     let mut active: Vec<usize> = Vec::with_capacity(cells.len());
     let mut outbox: Vec<NetMsg> = Vec::new();
-    let mut routed: Vec<(usize, Nanos, Nanos, NetMsg)> = Vec::new();
+    let mut arrivals = Arrivals::new(cells.len());
 
     // Runs shard `i` to the end of the epoch ending at `end` (exclusive).
     let run = |i: usize, end: u64| {
@@ -455,7 +477,7 @@ pub(crate) fn drive(
                 switch,
                 &mut pending,
                 &mut outbox,
-                &mut routed,
+                &mut arrivals,
                 epoch,
             );
             epochs += 1;

@@ -25,27 +25,53 @@ pub struct Entry {
     pub value_len: u32,
 }
 
-#[derive(Debug, Clone, Default)]
+/// An unused slot's contents; never read.
+const VACANT: Entry = Entry {
+    key: 0,
+    value_addr: 0,
+    value_len: 0,
+};
+
+#[derive(Debug, Clone, Copy)]
 struct Bucket {
-    slots: Vec<Entry>, // live entries; slots.len() + tombstones <= SLOTS_PER_BUCKET
-    /// Slots holding a removal marker. A tombstone keeps the bucket's
-    /// occupancy up so probe chains that ran through it while it was
-    /// full stay reachable; inserts reclaim tombstoned slots first.
-    tombstones: u32,
+    /// The first `live` slots hold the live entries, in insertion order.
+    slots: [Entry; SLOTS_PER_BUCKET],
+    live: u8,
+    /// Slots holding a removal marker (`live + tombstones <=
+    /// SLOTS_PER_BUCKET`). A tombstone keeps the bucket's occupancy up
+    /// so probe chains that ran through it while it was full stay
+    /// reachable; inserts reclaim tombstoned slots first.
+    tombstones: u8,
 }
 
 impl Bucket {
+    const EMPTY: Bucket = Bucket {
+        slots: [VACANT; SLOTS_PER_BUCKET],
+        live: 0,
+        tombstones: 0,
+    };
+
+    /// The live entries.
+    fn entries(&self) -> &[Entry] {
+        &self.slots[..usize::from(self.live)]
+    }
+
+    /// Position of `key` among the live entries.
+    fn find(&self, key: u64) -> Option<usize> {
+        self.entries().iter().position(|e| e.key == key)
+    }
+
     /// Physical occupancy: live entries plus tombstones. The probe
     /// chain terminates only at a bucket whose occupancy is below
     /// [`SLOTS_PER_BUCKET`] — i.e. one that has *never* been full —
     /// because occupancy never decreases.
     fn occupancy(&self) -> usize {
-        self.slots.len() + self.tombstones as usize
+        usize::from(self.live + self.tombstones)
     }
 
     /// Whether a new entry fits (a free or tombstoned slot exists).
     fn has_room(&self) -> bool {
-        self.slots.len() < SLOTS_PER_BUCKET
+        usize::from(self.live) < SLOTS_PER_BUCKET
     }
 
     /// Places an entry, reclaiming a tombstoned slot when one exists so
@@ -53,7 +79,18 @@ impl Bucket {
     fn place(&mut self, e: Entry) {
         debug_assert!(self.has_room());
         self.tombstones = self.tombstones.saturating_sub(1);
-        self.slots.push(e);
+        self.slots[usize::from(self.live)] = e;
+        self.live += 1;
+    }
+
+    /// Removes the live entry at `pos`, keeping the others in order,
+    /// and leaves a tombstone in its place.
+    fn remove(&mut self, pos: usize) -> Entry {
+        let e = self.slots[pos];
+        self.slots.copy_within(pos + 1..usize::from(self.live), pos);
+        self.live -= 1;
+        self.tombstones += 1;
+        e
     }
 }
 
@@ -117,7 +154,7 @@ impl HashIndex {
     pub fn new(n_buckets: usize, base_addr: u64) -> Self {
         assert!(n_buckets > 0, "index needs at least one bucket");
         HashIndex {
-            buckets: vec![Bucket::default(); n_buckets],
+            buckets: vec![Bucket::EMPTY; n_buckets],
             base_addr,
             max_probes: 64,
             entries: 0,
@@ -196,7 +233,8 @@ impl HashIndex {
         for hop in 0..self.max_probes as usize {
             let bi = (start + hop) % n;
             let bucket = &mut self.buckets[bi];
-            if let Some(slot) = bucket.slots.iter_mut().find(|e| e.key == key) {
+            if let Some(pos) = bucket.find(key) {
+                let slot = &mut bucket.slots[pos];
                 slot.value_addr = value_addr;
                 slot.value_len = value_len;
                 return Ok(());
@@ -229,9 +267,9 @@ impl HashIndex {
         for hop in 0..self.max_probes as usize {
             let bi = (start + hop) % n;
             let bucket = &self.buckets[bi];
-            if let Some(e) = bucket.slots.iter().find(|e| e.key == key) {
+            if let Some(pos) = bucket.find(key) {
                 return Ok(Lookup {
-                    entry: *e,
+                    entry: bucket.slots[pos],
                     probes: hop as u32 + 1,
                 });
             }
@@ -246,8 +284,8 @@ impl HashIndex {
 
     /// Removes a key. Returns the removed entry.
     ///
-    /// The freed slot becomes a tombstone rather than vanishing: a
-    /// plain `Vec::remove` would turn a full bucket non-full, and
+    /// The freed slot becomes a tombstone rather than vanishing: plainly
+    /// freeing it would turn a full bucket non-full, and
     /// `lookup`'s "never-full bucket terminates the chain" rule would
     /// then lose every key that probed past this bucket while it was
     /// full. Tombstones keep occupancy (and thus chain shape) intact;
@@ -258,11 +296,9 @@ impl HashIndex {
         for hop in 0..self.max_probes as usize {
             let bi = (start + hop) % n;
             let bucket = &mut self.buckets[bi];
-            if let Some(pos) = bucket.slots.iter().position(|e| e.key == key) {
-                let e = bucket.slots.remove(pos);
-                bucket.tombstones += 1;
+            if let Some(pos) = bucket.find(key) {
                 self.entries -= 1;
-                return Ok(e);
+                return Ok(bucket.remove(pos));
             }
             if bucket.occupancy() < SLOTS_PER_BUCKET {
                 // Chain ends here: the key is absent everywhere.
@@ -453,6 +489,71 @@ mod tests {
                 if !oracle.contains_key(&k) {
                     prop_assert_eq!(idx.lookup(k).err(), Some(IndexError::NotFound));
                 }
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn bucket_remove_keeps_live_entries_in_order() {
+        let mut b = Bucket::EMPTY;
+        for key in 1..=4 {
+            b.place(Entry {
+                key,
+                value_addr: key * 10,
+                value_len: 8,
+            });
+        }
+        assert_eq!(b.remove(1).key, 2);
+        let keys = |b: &Bucket| b.entries().iter().map(|e| e.key).collect::<Vec<_>>();
+        assert_eq!(keys(&b), [1, 3, 4]);
+        assert_eq!((b.occupancy(), b.has_room()), (4, true));
+        b.place(Entry {
+            key: 5,
+            value_addr: 50,
+            value_len: 8,
+        });
+        assert_eq!(keys(&b), [1, 3, 4, 5]);
+        assert_eq!((b.occupancy(), b.tombstones), (4, 0));
+        assert_eq!(b.remove(3).key, 5);
+        assert_eq!(keys(&b), [1, 3, 4]);
+    }
+
+    /// Removing a key and inserting it again puts it back in the bucket
+    /// it left (every bucket before it on its chain is still full), so
+    /// every lookup — the key's and its neighbours', hits with their
+    /// probe counts and misses — reads as before, however often it is
+    /// repeated and in whatever order the live entries now sit.
+    #[test]
+    fn remove_then_reinsert_keeps_lookups_and_probes() {
+        use simnet::prop::check;
+        use simnet::prop_assert_eq;
+
+        check("remove_then_reinsert_keeps_lookups_and_probes", |g| {
+            let n_buckets = g.usize(1..64);
+            let mut idx = HashIndex::new(n_buckets, 0x4000);
+            let keys: Vec<u64> = (0..g.u64(1..5 * n_buckets as u64))
+                .map(|_| g.u64(0..1 << 20))
+                .filter(|&k| idx.insert(k, k ^ 0xabc, 8).is_ok())
+                .collect();
+            let probe_all = |idx: &HashIndex| -> Vec<Result<Lookup, IndexError>> {
+                (0..1 << 20)
+                    .step_by(997)
+                    .chain(keys.iter().copied())
+                    .map(|k| idx.lookup(k))
+                    .collect()
+            };
+            let before = probe_all(&idx);
+            let len = idx.len();
+            for _ in 0..g.usize(1..32) {
+                let Some(&k) = keys.get(g.usize(0..keys.len().max(1))) else {
+                    break;
+                };
+                let e = idx.remove(k).expect("inserted keys are present");
+                idx.insert(k, e.value_addr, e.value_len)
+                    .expect("its old slot is free");
+                prop_assert_eq!(idx.len(), len);
+                prop_assert_eq!(probe_all(&idx), before, "after reinserting {k}");
             }
             Ok(())
         });

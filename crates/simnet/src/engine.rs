@@ -7,22 +7,32 @@
 //!
 //! # Scheduler data structure
 //!
-//! [`Engine`] stores pending events in a *hierarchical timing wheel*
-//! (DESIGN.md "The scheduler"): eight levels of 64 slots, where a level-`k`
-//! slot covers a `64^k` ns window, indexed by the event's absolute delivery
-//! time. Scheduling is O(1) (compute the level from the delay's magnitude,
-//! push into a slot vector), and popping finds the earliest occupied slot
-//! with one 64-bit occupancy-bitmap scan per level instead of a
-//! `BinaryHeap`'s O(log n) sift — the win that matters at cluster scale,
-//! where every epoch pops and reschedules thousands of events. Deliveries
-//! beyond the wheel's ~3.2-day horizon park in an overflow heap and migrate
-//! into the wheel as the clock approaches them. The previous heap-based
-//! scheduler survives as [`BaselineEngine`], kept only as the lockstep
-//! oracle for the wheel (see `tests/props.rs`).
+//! [`Engine`] (DESIGN.md §4.2) keeps each payload in a slab and orders
+//! 24-byte `(at, seq, slot)` keys, in one of two representations that
+//! follow the size of the queue:
+//!
+//! * **A sorted deque** while at most 16 events (`SMALL_QUEUE`) are
+//!   pending. Pop and peek take the front; an insert goes after the last
+//!   key whose time is not later, found from the back, so same-instant
+//!   events keep their scheduling order. Rack shards mostly hold a
+//!   handful of events (DESIGN.md §4.2 gives the measured depths).
+//! * **A hierarchical timing wheel** from the 17th pending event until
+//!   the queue drains empty: eight levels of 64 slots, where a
+//!   level-`k` slot covers a `64^k` ns window, indexed by the event's
+//!   absolute delivery time. Scheduling is O(1) (compute the level from
+//!   the highest bit in which the time differs from the clock, push into
+//!   a slot vector), and popping finds the earliest occupied slot with
+//!   one 64-bit occupancy-bitmap scan per level, where a binary heap
+//!   would pay an O(log n) sift per event on a queue of a thousand.
+//!   Deliveries beyond the wheel's ~3.2-day horizon park in an overflow
+//!   heap and migrate into the wheel as the clock approaches them.
+//!
+//! The previous heap-based scheduler survives as [`BaselineEngine`], kept
+//! only as the lockstep oracle for both (see `tests/props.rs`).
 
 use core::cmp::Ordering;
 use std::cell::Cell;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::Nanos;
 
@@ -63,26 +73,29 @@ impl core::fmt::Display for ScheduleError {
 
 impl std::error::Error for ScheduleError {}
 
-struct Scheduled<E> {
+/// A pending event: its delivery time, its scheduling sequence number
+/// (the same-instant FIFO tie-break) and `item` — the payload itself in
+/// [`BaselineEngine`], its slab slot in [`Engine`].
+struct Scheduled<T> {
     at: Nanos,
     seq: u64,
-    event: E,
+    item: T,
 }
 
-impl<E> PartialEq for Scheduled<E> {
+impl<T> PartialEq for Scheduled<T> {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
     }
 }
-impl<E> Eq for Scheduled<E> {}
+impl<T> Eq for Scheduled<T> {}
 
-impl<E> PartialOrd for Scheduled<E> {
+impl<T> PartialOrd for Scheduled<T> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<E> Ord for Scheduled<E> {
+impl<T> Ord for Scheduled<T> {
     // Reverse ordering: BinaryHeap is a max-heap, we want earliest-first.
     fn cmp(&self, other: &Self) -> Ordering {
         other
@@ -91,6 +104,16 @@ impl<E> Ord for Scheduled<E> {
             .then_with(|| other.seq.cmp(&self.seq))
     }
 }
+
+/// [`Engine`]'s key: the event's place in the order and the slab slot of
+/// its payload.
+type Key = Scheduled<usize>;
+
+/// The most pending events [`Engine`] keeps in its sorted deque; the next
+/// one spills every key into the timing wheel. Every `rack_services`
+/// shard's queue stays below it; a harness run's queue of a thousand
+/// stays above it.
+const SMALL_QUEUE: usize = 16;
 
 /// log2 of the slots per wheel level.
 const SLOT_BITS: usize = 6;
@@ -137,22 +160,34 @@ fn level_for(xor: u64) -> usize {
 /// assert_eq!(eng.pop(), None);
 /// ```
 pub struct Engine<E> {
-    /// `LEVELS * SLOTS` slot vectors, flat-indexed `level * SLOTS + slot`.
-    /// Slots are indexed by *absolute* delivery time (`(at >> 6k) & 63`),
-    /// so entries never relocate while the clock sweeps their window.
-    wheel: Vec<Vec<Scheduled<E>>>,
+    /// Payloads by slot; `None` marks a free slot.
+    slab: Vec<Option<E>>,
+    /// Free slots of `slab`, reused last-in first-out.
+    free: Vec<usize>,
+    /// While not `spilled`: every pending key, in `(at, seq)` order.
+    small: VecDeque<Key>,
+    /// Whether the pending keys live in the wheel, `cur` and `overflow`
+    /// instead of `small`: set when a schedule overfills the deque,
+    /// cleared when a pop empties the queue.
+    spilled: bool,
+    /// `LEVELS * SLOTS` slot vectors, flat-indexed `level * SLOTS + slot`,
+    /// allocated on the first spill. Slots are indexed by *absolute*
+    /// delivery time (`(at >> 6k) & 63`), so entries never relocate while
+    /// the clock sweeps their window.
+    wheel: Vec<Vec<Key>>,
     /// Per-level occupancy bitmap; bit `s` set iff slot `s` is non-empty.
     occ: [u64; LEVELS],
     /// Deliveries at or beyond `now + TOP_SPAN`.
-    overflow: BinaryHeap<Scheduled<E>>,
+    overflow: BinaryHeap<Key>,
     /// The instant currently being drained, sorted by *descending* seq so
     /// `pop()` takes FIFO order off the tail. Handlers scheduling at the
     /// same instant mid-drain append to the wheel with larger seqs and are
     /// collected on the next refill, preserving global FIFO.
-    cur: Vec<Scheduled<E>>,
+    cur: Vec<Key>,
     /// Scratch for cascading a slot without aliasing `self.wheel`.
-    scratch: Vec<Scheduled<E>>,
-    /// Cached exact next delivery time (`None` = recompute on demand).
+    scratch: Vec<Key>,
+    /// Cached exact next delivery time of the wheel (`None` = recompute
+    /// on demand).
     cached_next: Cell<Option<Nanos>>,
     now: Nanos,
     seq: u64,
@@ -170,7 +205,11 @@ impl<E> Engine<E> {
     /// Creates an empty engine with the clock at zero.
     pub fn new() -> Self {
         Engine {
-            wheel: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            small: VecDeque::new(),
+            spilled: false,
+            wheel: Vec::new(),
             occ: [0; LEVELS],
             overflow: BinaryHeap::new(),
             cur: Vec::new(),
@@ -211,18 +250,40 @@ impl<E> Engine<E> {
         if at < self.now {
             return Err(ScheduleError::Past { now: self.now, at });
         }
-        let s = Scheduled {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot] = Some(event);
+                slot
+            }
+            None => {
+                self.slab.push(Some(event));
+                self.slab.len() - 1
+            }
+        };
+        let key = Key {
             at,
             seq: self.seq,
-            event,
+            item: slot,
         };
         self.seq += 1;
         self.pending += 1;
+        if !self.spilled {
+            if self.pending <= SMALL_QUEUE {
+                // After the last key due no later: the new key's seq is
+                // the largest, so this keeps `(at, seq)` order.
+                match self.small.iter().rposition(|k| k.at <= at) {
+                    Some(i) => self.small.insert(i + 1, key),
+                    None => self.small.push_front(key),
+                }
+                return Ok(());
+            }
+            self.spill();
+        }
         if let Some(next) = self.cached_next.get() {
             self.cached_next.set(Some(next.min(at)));
         }
         let cursor = self.now.as_nanos();
-        self.place(s, cursor);
+        self.place(key, cursor);
         Ok(())
     }
 
@@ -235,9 +296,26 @@ impl<E> Engine<E> {
         self.schedule(at, event)
     }
 
+    /// Moves every key of the deque into the wheel, relative to the
+    /// clock.
+    fn spill(&mut self) {
+        debug_assert!(self.cur.is_empty() && self.occ == [0; LEVELS]);
+        debug_assert!(self.cached_next.get().is_none());
+        if self.wheel.is_empty() {
+            self.wheel = (0..LEVELS * SLOTS).map(|_| Vec::new()).collect();
+        }
+        let cursor = self.now.as_nanos();
+        let mut small = std::mem::take(&mut self.small);
+        for key in small.drain(..) {
+            self.place(key, cursor);
+        }
+        self.small = small;
+        self.spilled = true;
+    }
+
     /// Inserts into the wheel (or overflow heap) relative to `cursor`.
     /// Caller guarantees `s.at >= cursor`.
-    fn place(&mut self, s: Scheduled<E>, cursor: u64) {
+    fn place(&mut self, s: Key, cursor: u64) {
         let at = s.at.as_nanos();
         debug_assert!(at >= cursor);
         let xor = at ^ cursor;
@@ -345,32 +423,44 @@ impl<E> Engine<E> {
     /// Removes and returns the next event, advancing the clock to its
     /// delivery time. Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(Nanos, E)> {
-        if self.cur.is_empty() && !self.refill() {
-            return None;
-        }
-        let s = self.cur.pop().expect("refill produced an instant");
-        debug_assert!(s.at >= self.now, "wheel produced an out-of-order event");
-        self.now = s.at;
+        let key = if self.spilled {
+            if self.cur.is_empty() && !self.refill() {
+                return None;
+            }
+            let key = self.cur.pop().expect("refill produced an instant");
+            if self.cur.is_empty() {
+                self.cached_next.set(None);
+            }
+            key
+        } else {
+            self.small.pop_front()?
+        };
+        debug_assert!(key.at >= self.now, "engine produced an out-of-order event");
+        self.now = key.at;
         self.delivered += 1;
         self.pending -= 1;
-        if self.cur.is_empty() {
-            self.cached_next.set(None);
-        }
-        Some((s.at, s.event))
+        // An empty wheel hands the queue back to the deque.
+        self.spilled &= self.pending > 0;
+        let event = self.slab[key.item]
+            .take()
+            .expect("a pending key owns its slot");
+        self.free.push(key.item);
+        Some((key.at, event))
     }
 
     /// The delivery time of the next event, if any, without popping it.
     ///
-    /// Read-only and exact: the wheel is scanned (first occupied slot per
-    /// level plus the overflow minimum) without cascading, so a caller that
-    /// peeks past a deadline and walks away leaves the engine untouched.
-    /// The result is cached until the next structural change.
+    /// Read-only and exact: the deque's front, or a scan of the wheel
+    /// (first occupied slot per level plus the overflow minimum) without
+    /// cascading, so a caller that peeks past a deadline and walks away
+    /// leaves the engine untouched. The wheel's result is cached until
+    /// the next structural change.
     pub fn peek_time(&self) -> Option<Nanos> {
+        if !self.spilled {
+            return self.small.front().map(|k| k.at);
+        }
         if let Some(s) = self.cur.last() {
             return Some(s.at);
-        }
-        if self.pending == 0 {
-            return None;
         }
         if let Some(t) = self.cached_next.get() {
             return Some(t);
@@ -396,7 +486,7 @@ impl<E> Engine<E> {
                 }
             }
         }
-        debug_assert!(min.is_some(), "pending > 0 but no event found");
+        debug_assert!(min.is_some(), "a spilled engine has a pending event");
         self.cached_next.set(min);
         min
     }
@@ -438,10 +528,10 @@ impl<E> Engine<E> {
 
 /// The original `BinaryHeap` scheduler behind the same API as [`Engine`].
 ///
-/// Kept only as the lockstep oracle for the timing wheel: the equivalence
-/// property test (`tests/props.rs`) replays randomized schedules through
-/// both and demands identical `(at, seq, event)` streams. Simulations use
-/// [`Engine`].
+/// Kept only as the lockstep oracle for the deque and the timing wheel:
+/// the equivalence property tests (`tests/props.rs` and this module's
+/// threshold test) replay randomized schedules through both and demand
+/// identical `(at, seq, event)` streams. Simulations use [`Engine`].
 pub struct BaselineEngine<E> {
     heap: BinaryHeap<Scheduled<E>>,
     now: Nanos,
@@ -492,7 +582,7 @@ impl<E> BaselineEngine<E> {
         self.heap.push(Scheduled {
             at,
             seq: self.seq,
-            event,
+            item: event,
         });
         self.seq += 1;
         Ok(())
@@ -513,7 +603,7 @@ impl<E> BaselineEngine<E> {
         debug_assert!(s.at >= self.now, "heap produced an out-of-order event");
         self.now = s.at;
         self.delivered += 1;
-        Some((s.at, s.event))
+        Some((s.at, s.item))
     }
 
     /// The delivery time of the next event, if any, without popping it.
@@ -563,6 +653,18 @@ pub enum Step {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Payload of the events [`fill`] schedules.
+    const FILL: u32 = u32::MAX;
+
+    /// Fills the deque with `SMALL_QUEUE` events at `at`, so the next
+    /// schedule spills the queue into the wheel.
+    fn fill(eng: &mut Engine<u32>, at: Nanos) {
+        for _ in 0..SMALL_QUEUE {
+            eng.schedule(at, FILL).unwrap();
+        }
+        assert!(!eng.spilled);
+    }
 
     #[test]
     fn fifo_order_within_same_instant() {
@@ -641,22 +743,24 @@ mod tests {
         // Deliveries beyond the wheel horizon (and near Nanos::MAX) park
         // in the overflow heap and still come back in order.
         let mut eng: Engine<u32> = Engine::new();
+        fill(&mut eng, Nanos::new(4));
         eng.schedule(Nanos::new(u64::MAX), 4).unwrap();
+        assert!(eng.spilled);
         eng.schedule(Nanos::new(TOP_SPAN * 3 + 17), 3).unwrap();
         eng.schedule(Nanos::new(TOP_SPAN - 1), 2).unwrap();
         eng.schedule(Nanos::new(5), 1).unwrap();
-        assert_eq!(eng.pending(), 4);
+        assert_eq!(eng.pending(), SMALL_QUEUE + 4);
         let order: Vec<(u64, u32)> =
             std::iter::from_fn(|| eng.pop().map(|(t, e)| (t.as_nanos(), e))).collect();
-        assert_eq!(
-            order,
-            vec![
-                (5, 1),
-                (TOP_SPAN - 1, 2),
-                (TOP_SPAN * 3 + 17, 3),
-                (u64::MAX, 4)
-            ]
-        );
+        let mut want = vec![(4, FILL); SMALL_QUEUE];
+        want.extend([
+            (5, 1),
+            (TOP_SPAN - 1, 2),
+            (TOP_SPAN * 3 + 17, 3),
+            (u64::MAX, 4),
+        ]);
+        assert_eq!(order, want);
+        assert!(!eng.spilled, "the drained wheel hands back to the deque");
     }
 
     #[test]
@@ -665,8 +769,10 @@ mod tests {
         // level) and one scheduled close by (level 0), must still come out
         // in seq order — the cascade reunites them before collection.
         let mut eng: Engine<u32> = Engine::new();
+        fill(&mut eng, Nanos::new(200_000));
         let t = Nanos::new(100_000);
         eng.schedule(t, 1).unwrap(); // delta 100000 -> coarse level
+        assert!(eng.spilled);
         eng.schedule(Nanos::new(99_990), 0).unwrap();
         assert_eq!(eng.pop(), Some((Nanos::new(99_990), 0)));
         // Now close to t: lands directly in level 0.
@@ -733,7 +839,9 @@ mod tests {
         // traffic at times *before* the peeked event; a peek must never
         // advance internal state in a way that rejects those schedules.
         let mut eng: Engine<u32> = Engine::new();
+        fill(&mut eng, Nanos::new(20_000));
         eng.schedule(Nanos::new(10_000), 1).unwrap();
+        assert!(eng.spilled);
         eng.run_until(Nanos::new(500), |_, _, _| Step::Continue);
         assert_eq!(eng.peek_time(), Some(Nanos::new(10_000)));
         // Arrives between the deadline and the pending event.
@@ -780,11 +888,16 @@ mod tests {
         // property lives in tests/props.rs.
         let mut wheel: Engine<u32> = Engine::new();
         let mut base: BaselineEngine<u32> = BaselineEngine::new();
+        fill(&mut wheel, Nanos::new(4096));
+        for _ in 0..SMALL_QUEUE {
+            base.schedule(Nanos::new(4096), FILL).unwrap();
+        }
         let times = [0u64, 1, 1, 63, 64, 65, 4095, 4096, 4097, 4096, 100_000, 63];
         for (i, &t) in times.iter().enumerate() {
             wheel.schedule(Nanos::new(t), i as u32).unwrap();
             base.schedule(Nanos::new(t), i as u32).unwrap();
         }
+        assert!(wheel.spilled);
         loop {
             let (a, b) = (wheel.pop(), base.pop());
             assert_eq!(a, b);
@@ -793,5 +906,122 @@ mod tests {
             }
         }
         assert_eq!(wheel.delivered(), base.delivered());
+    }
+
+    /// What the threshold test saw happen, counted over all its cases.
+    #[derive(Clone, Copy, Default)]
+    struct Seen {
+        spills: u32,
+        returns: u32,
+        /// Schedules at `now`, in the deque and in the wheel.
+        at_now: [u32; 2],
+        /// Schedules before a peek past the deadline, in each mode.
+        epoch: [u32; 2],
+    }
+
+    /// The deque and the wheel against the heap oracle while the queue
+    /// crosses `SMALL_QUEUE` both ways: each round grows it to a depth on
+    /// either side of the threshold (the 17th pending event spills), then
+    /// drains it to empty in epochs (the empty wheel hands back to the
+    /// deque). In both modes, handlers schedule at `now`, and each epoch
+    /// that stops at a peek past its deadline then schedules an event
+    /// before the peeked time, as the rack runtime does with arrivals.
+    /// Every peek, pop, verdict and clock must match the oracle.
+    #[test]
+    fn engine_matches_baseline_across_the_deque_threshold() {
+        use crate::{prop_assert, prop_assert_eq};
+        let seen = std::cell::Cell::new(Seen::default());
+        let note = |f: &dyn Fn(&mut Seen)| {
+            let mut s = seen.get();
+            f(&mut s);
+            seen.set(s);
+        };
+        crate::prop::check("engine_matches_baseline_across_the_deque_threshold", |g| {
+            let mut eng: Engine<u32> = Engine::new();
+            let mut base: BaselineEngine<u32> = BaselineEngine::new();
+            let mut id = 0u32;
+            // Mostly short delays for dense ties, now and then one that
+            // lands on a coarse level or in the overflow heap.
+            let delay = |g: &mut crate::prop::Gen| {
+                let exp = if g.f64_unit() < 0.8 { 10 } else { g.u32(0..51) };
+                Nanos::new(g.u64(0..(1u64 << exp).max(2)))
+            };
+            let mut both = |eng: &mut Engine<u32>, base: &mut BaselineEngine<u32>, at| {
+                let was = eng.spilled;
+                let verdict = eng.schedule(at, id);
+                assert_eq!(verdict, base.schedule(at, id), "verdicts diverged at {at}");
+                id += 1;
+                if !was && eng.spilled {
+                    assert_eq!(eng.pending(), SMALL_QUEUE + 1, "spilled early or late");
+                    note(&|s| s.spills += 1);
+                }
+            };
+            let pop_both = |eng: &mut Engine<u32>, base: &mut BaselineEngine<u32>| {
+                let was = eng.spilled;
+                let (a, b) = (eng.pop(), base.pop());
+                assert_eq!(a, b, "pop diverged");
+                if was && !eng.spilled {
+                    assert_eq!(eng.pending(), 0, "left the wheel before it drained");
+                    note(&|s| s.returns += 1);
+                }
+                a
+            };
+            for _ in 0..g.usize(1..6) {
+                let depth = g.usize(1..3 * SMALL_QUEUE);
+                while eng.pending() < depth {
+                    let at = eng.now().checked_add(delay(g)).unwrap_or(Nanos::MAX);
+                    both(&mut eng, &mut base, at);
+                    if g.f64_unit() < 0.2 {
+                        pop_both(&mut eng, &mut base);
+                    }
+                }
+                for epoch in 0.. {
+                    let deadline = if epoch < 64 {
+                        eng.now() + Nanos::new(g.u64(0..1_500))
+                    } else {
+                        Nanos::MAX
+                    };
+                    loop {
+                        let peeked = eng.peek_time();
+                        prop_assert_eq!(peeked, base.peek_time(), "peek diverged");
+                        match peeked {
+                            Some(t) if t <= deadline => {}
+                            _ => break,
+                        }
+                        let (now, _) = pop_both(&mut eng, &mut base).expect("peeked");
+                        if g.f64_unit() < 0.3 {
+                            let mode = usize::from(eng.spilled);
+                            both(&mut eng, &mut base, now);
+                            note(&|s| s.at_now[mode] += 1);
+                        }
+                    }
+                    let Some(peeked) = eng.peek_time() else {
+                        break;
+                    };
+                    let now = eng.now();
+                    let at = now + Nanos::new(g.u64(0..(peeked - now).as_nanos()));
+                    let mode = usize::from(eng.spilled);
+                    both(&mut eng, &mut base, at);
+                    note(&|s| s.epoch[mode] += 1);
+                }
+                prop_assert!(!eng.spilled && eng.pending() == 0);
+                prop_assert_eq!(eng.now(), base.now(), "clocks diverged");
+            }
+            prop_assert_eq!(eng.delivered(), base.delivered());
+            Ok(())
+        });
+        let s = seen.get();
+        assert!(
+            s.spills > 0 && s.returns > 0,
+            "{} spills, {} returns",
+            s.spills,
+            s.returns
+        );
+        assert!(
+            s.at_now.iter().chain(&s.epoch).all(|&n| n > 0),
+            "at now {:?}, epoch {:?}",
+            s.at_now,
+            s.epoch
+        );
     }
 }

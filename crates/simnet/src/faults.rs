@@ -197,7 +197,21 @@ pub struct FaultPlane {
 impl FaultPlane {
     /// Builds a plane. Returns `None` for inert specs so the caller's
     /// `Option<FaultPlane>` gate keeps the healthy path branch-free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a degradation window's slowdown is NaN or infinite. An
+    /// infinite one would make the degraded links free (an infinite
+    /// service time converts to zero nanoseconds), and a NaN one would
+    /// leave them healthy.
     pub fn new(spec: FaultSpec) -> Option<Self> {
+        for w in &spec.pcie_windows {
+            assert!(
+                w.slowdown.is_finite(),
+                "PCIe degradation window slowdown must be finite, got {}",
+                w.slowdown
+            );
+        }
         if spec.is_inert() {
             None
         } else {
@@ -301,6 +315,39 @@ mod tests {
             extra_latency: Nanos::ZERO,
         };
         assert!(FaultPlane::new(FaultSpec::none().with_pcie_window(w)).is_none());
+    }
+
+    /// The panic message of `FaultPlane::new` on a window slowed by
+    /// `slowdown`.
+    fn slowdown_rejection(slowdown: f64) -> String {
+        let spec = FaultSpec::none().with_pcie_window(DegradedWindow {
+            from: Nanos::new(100),
+            to: Nanos::new(200),
+            slowdown,
+            extra_latency: Nanos::ZERO,
+        });
+        let payload = std::panic::catch_unwind(|| FaultPlane::new(spec))
+            .expect_err("a non-finite slowdown is rejected");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .expect("a formatted message")
+    }
+
+    #[test]
+    fn infinite_slowdown_is_rejected() {
+        assert_eq!(
+            slowdown_rejection(f64::INFINITY),
+            "PCIe degradation window slowdown must be finite, got inf"
+        );
+    }
+
+    #[test]
+    fn nan_slowdown_is_rejected() {
+        assert_eq!(
+            slowdown_rejection(f64::NAN),
+            "PCIe degradation window slowdown must be finite, got NaN"
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! and interference then emerge from the reservations without simulating
 //! every packet as a separate event.
 
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 use crate::time::{Bandwidth, Nanos};
 
@@ -106,10 +106,14 @@ impl Server {
 ///
 /// Models pipelined processing units (e.g. NIC PUs): up to `k` requests are
 /// in flight at once; additional ones queue for the first unit to free up.
+///
+/// The units' next-free times are kept in ascending order: a reservation
+/// takes the earliest from the front and files its finish after the
+/// last time not later, which on a busy pool is nearly always the back.
 #[derive(Debug, Clone)]
 pub struct MultiServer {
-    // Min-heap of next-free times, via Reverse ordering on pop.
-    free_times: BinaryHeap<core::cmp::Reverse<Nanos>>,
+    /// Next-free time of every unit, ascending.
+    free_times: VecDeque<Nanos>,
     servers: usize,
     busy: Nanos,
     served: u64,
@@ -123,12 +127,8 @@ impl MultiServer {
     /// Panics if `servers == 0`.
     pub fn new(servers: usize) -> Self {
         assert!(servers > 0, "a server pool needs at least one unit");
-        let mut free_times = BinaryHeap::with_capacity(servers);
-        for _ in 0..servers {
-            free_times.push(core::cmp::Reverse(Nanos::ZERO));
-        }
         MultiServer {
-            free_times,
+            free_times: vec![Nanos::ZERO; servers].into(),
             servers,
             busy: Nanos::ZERO,
             served: 0,
@@ -142,10 +142,14 @@ impl MultiServer {
 
     /// Reserves `service` time on the earliest-free unit.
     pub fn reserve(&mut self, arrival: Nanos, service: Nanos) -> Reservation {
-        let core::cmp::Reverse(free) = self.free_times.pop().expect("pool is never empty");
+        let free = self.free_times.pop_front().expect("pool is never empty");
         let start = arrival.max(free);
         let finish = start + service;
-        self.free_times.push(core::cmp::Reverse(finish));
+        let mut i = self.free_times.len();
+        while i > 0 && self.free_times[i - 1] > finish {
+            i -= 1;
+        }
+        self.free_times.insert(i, finish);
         self.busy += service;
         self.served += 1;
         Reservation { start, finish }
@@ -153,10 +157,7 @@ impl MultiServer {
 
     /// The earliest instant any unit becomes free.
     pub fn earliest_free(&self) -> Nanos {
-        self.free_times
-            .peek()
-            .map(|core::cmp::Reverse(t)| *t)
-            .expect("pool is never empty")
+        *self.free_times.front().expect("pool is never empty")
     }
 
     /// Total busy time across all units.
@@ -191,6 +192,10 @@ pub struct Pipe {
     /// Service-time multiplier for degraded operation (fault injection:
     /// a link retrained to a lower PCIe generation/width). 1.0 = healthy.
     derate: f64,
+    /// The last reservation's size and service time: a pipe mostly
+    /// carries one size, and a repeat skips the float division.
+    /// Cleared when [`Pipe::set_derate`] changes the derate.
+    memo: Option<(u64, Nanos)>,
 }
 
 impl Pipe {
@@ -200,6 +205,7 @@ impl Pipe {
             bandwidth,
             server: Server::new(),
             derate: 1.0,
+            memo: None,
         }
     }
 
@@ -207,7 +213,11 @@ impl Pipe {
     /// `factor` times as long (`factor < 1` is clamped to healthy).
     /// Costs a single comparison per reservation when healthy.
     pub fn set_derate(&mut self, factor: f64) {
-        self.derate = factor.max(1.0);
+        let derate = factor.max(1.0);
+        if derate != self.derate {
+            self.derate = derate;
+            self.memo = None;
+        }
     }
 
     /// Service time for a transfer of `bytes`, without reserving it.
@@ -226,7 +236,14 @@ impl Pipe {
 
     /// Reserves the pipe for a transfer of `bytes`.
     pub fn reserve(&mut self, arrival: Nanos, bytes: u64) -> Reservation {
-        let service = self.service_time(bytes);
+        let service = match self.memo {
+            Some((memo_bytes, service)) if memo_bytes == bytes => service,
+            _ => {
+                let service = self.service_time(bytes);
+                self.memo = Some((bytes, service));
+                service
+            }
+        };
         self.server.reserve(arrival, service)
     }
 
@@ -375,6 +392,50 @@ mod tests {
         assert_eq!(m.earliest_free(), Nanos::new(50));
     }
 
+    /// The ascending deque against the min-heap it replaced, on pools of
+    /// 1 to 400 units with arrivals that sometimes step back and services
+    /// that are zero, short or long: every reservation, `earliest_free`,
+    /// the busy time and the served count must match.
+    #[test]
+    fn multiserver_matches_heap_model() {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        crate::prop::check("multiserver_matches_heap_model", |g| {
+            let units = if g.bool() {
+                g.usize(1..9)
+            } else {
+                g.usize(1..401)
+            };
+            let mut pool = MultiServer::new(units);
+            let mut heap: BinaryHeap<Reverse<Nanos>> = vec![Reverse(Nanos::ZERO); units].into();
+            let (mut busy, mut served) = (Nanos::ZERO, 0u64);
+            let mut clock = 0u64;
+            for _ in 0..g.usize(1..2_000) {
+                clock = if g.f64_unit() < 0.2 {
+                    clock.saturating_sub(g.u64(0..5_000))
+                } else {
+                    clock + g.u64(0..200)
+                };
+                let service = match g.u32(0..4) {
+                    0 => 0,
+                    1 => g.u64(0..100_000),
+                    _ => g.u64(0..500),
+                };
+                let (arrival, service) = (Nanos::new(clock), Nanos::new(service));
+                let got = pool.reserve(arrival, service);
+                let Reverse(free) = heap.pop().expect("pool is never empty");
+                let start = arrival.max(free);
+                heap.push(Reverse(start + service));
+                busy += service;
+                served += 1;
+                crate::prop_assert_eq!((got.start, got.finish), (start, start + service));
+                crate::prop_assert_eq!(pool.earliest_free(), heap.peek().expect("non-empty").0);
+            }
+            crate::prop_assert_eq!((pool.busy_time(), pool.served()), (busy, served));
+            Ok(())
+        });
+    }
+
     #[test]
     #[should_panic(expected = "at least one unit")]
     fn multiserver_zero_units_panics() {
@@ -399,6 +460,34 @@ mod tests {
         // Same direction would have queued:
         let f2 = d.reserve(Dir::Fwd, Nanos::ZERO, 1000);
         assert_eq!(f2.start, Nanos::new(1000));
+    }
+
+    /// A memoized pipe against a server charged `service_time` afresh on
+    /// every reservation, over repeated and changing sizes with derate
+    /// changes in between.
+    #[test]
+    fn pipe_memo_matches_uncached_service() {
+        crate::prop::check("pipe_memo_matches_uncached_service", |g| {
+            let bw = Bandwidth::gigabytes_per_sec(g.u64(1..200) as f64 / 8.0);
+            let mut pipe = Pipe::new(bw);
+            let mut fresh = Pipe::new(bw);
+            let mut server = Server::new();
+            let sizes = [0, 1, 64, 4096, g.u64(1..1 << 20)];
+            for _ in 0..g.usize(1..512) {
+                if g.f64_unit() < 0.05 {
+                    let factor = [1.0, 0.5, 2.5, 4.0, 12.8][g.usize(0..5)];
+                    pipe.set_derate(factor);
+                    fresh.set_derate(factor);
+                }
+                let bytes = sizes[g.usize(0..sizes.len())];
+                let arrival = Nanos::new(g.u64(0..1_000_000));
+                let want = server.reserve(arrival, fresh.service_time(bytes));
+                crate::prop_assert_eq!(pipe.reserve(arrival, bytes), want, "{bytes} B");
+            }
+            crate::prop_assert_eq!(pipe.busy_time(), server.busy_time());
+            crate::prop_assert_eq!(pipe.next_free(), server.next_free());
+            Ok(())
+        });
     }
 
     #[test]

@@ -153,10 +153,20 @@ impl SimRng {
 ///
 /// Implements the standard rejection-free inverse-CDF-table approach for a
 /// fixed population; good enough for up to ~10M keys. Clones share the
-/// table, so a stream builds it once and hands a clone to each shard.
+/// tables, so a stream builds them once and hands a clone to each shard.
+///
+/// A draw `u` returns the smallest index whose CDF value is at least `u`.
+/// It starts at a guide entry and scans up: with `n` items, `u` falls in
+/// bucket `⌊u·n⌋`, and `guide[j]` is the first index whose CDF value
+/// falls in bucket `j` or later. Bucketing is monotone, so no earlier
+/// index can reach `u`; on a strictly increasing CDF the result is the
+/// index a binary search finds.
 #[derive(Clone)]
 pub struct Zipf {
     cdf: Arc<[f64]>,
+    /// `n + 1` scan starts, one per bucket (the last CDF value, 1, is
+    /// alone in bucket `n`).
+    guide: Arc<[usize]>,
 }
 
 impl Zipf {
@@ -179,20 +189,42 @@ impl Zipf {
         for v in &mut cdf {
             *v /= total;
         }
-        Zipf { cdf: cdf.into() }
+        // One pass: the CDF is non-decreasing, so its buckets are too.
+        let mut guide = Vec::with_capacity(n + 1);
+        for (i, &c) in cdf.iter().enumerate() {
+            let b = bucket(c, n);
+            while guide.len() <= b {
+                guide.push(i);
+            }
+        }
+        guide.resize(n + 1, n - 1);
+        Zipf {
+            cdf: cdf.into(),
+            guide: guide.into(),
+        }
     }
 
     /// Samples an item index in `[0, n)`; index 0 is the hottest key.
     pub fn sample(&self, rng: &mut SimRng) -> usize {
-        let u = rng.uniform_f64();
-        match self
-            .cdf
-            .binary_search_by(|p| p.partial_cmp(&u).expect("cdf is finite"))
-        {
-            Ok(i) => i,
-            Err(i) => i.min(self.cdf.len() - 1),
-        }
+        self.index_of(rng.uniform_f64())
     }
+
+    /// The smallest index whose CDF value is at least `u`, or the last.
+    fn index_of(&self, u: f64) -> usize {
+        let last = self.cdf.len() - 1;
+        let mut i = self.guide[bucket(u, self.cdf.len())];
+        while i < last && self.cdf[i] < u {
+            i += 1;
+        }
+        i
+    }
+}
+
+/// The guide bucket of a CDF value or draw `x` in `[0, 1]` over `n`
+/// items: `⌊x·n⌋`, at most `n`. Monotone in `x`.
+#[inline]
+fn bucket(x: f64, n: usize) -> usize {
+    ((x * n as f64) as usize).min(n)
 }
 
 #[cfg(test)]
@@ -313,6 +345,50 @@ mod tests {
         }
         // Top-10 of 1000 keys should attract >30% of accesses at 0.99 skew.
         assert!(head > N * 3 / 10, "head share {head}/{N}");
+    }
+
+    /// The guide-started scan against `partition_point` and, on the
+    /// strictly increasing tables every exponent here builds, against the
+    /// binary search it replaced: random draws, draws equal to a CDF
+    /// value and the floats on either side of one, and the extremes.
+    #[test]
+    fn zipf_guide_matches_the_searches() {
+        use crate::{prop_assert, prop_assert_eq};
+        crate::prop::check("zipf_guide_matches_the_searches", |g| {
+            let n = if g.bool() {
+                g.usize(1..64)
+            } else {
+                g.usize(1..5_001)
+            };
+            let theta = [0.0, 0.5, 0.99, 1.5][g.usize(0..4)];
+            let z = Zipf::new(n, theta);
+            let cdf = &z.cdf;
+            prop_assert!(
+                cdf.windows(2).all(|w| w[0] < w[1]),
+                "n {n}, theta {theta}: CDF not strictly increasing"
+            );
+            let mut draws: Vec<f64> = (0..256).map(|_| g.f64_unit()).collect();
+            for _ in 0..64 {
+                let c = cdf[g.usize(0..n)];
+                draws.extend([
+                    c,
+                    f64::from_bits(c.to_bits() - 1),
+                    f64::from_bits(c.to_bits() + 1),
+                ]);
+            }
+            draws.extend([0.0, 1.0 - f64::EPSILON / 2.0, 1.0]);
+            for u in draws {
+                let got = z.index_of(u);
+                let first = cdf.partition_point(|&c| c < u).min(n - 1);
+                prop_assert_eq!(got, first, "n {n}, theta {theta}, u {u:e}");
+                let searched = match cdf.binary_search_by(|p| p.partial_cmp(&u).expect("finite")) {
+                    Ok(i) => i,
+                    Err(i) => i.min(n - 1),
+                };
+                prop_assert_eq!(got, searched, "n {n}, theta {theta}, u {u:e}");
+            }
+            Ok(())
+        });
     }
 
     #[test]

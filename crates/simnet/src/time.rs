@@ -56,12 +56,20 @@ impl Nanos {
     }
 
     /// Creates a duration from a floating-point number of nanoseconds,
-    /// rounding to the nearest representable value.
+    /// rounding to the nearest representable value (halves away from
+    /// zero, as [`f64::round`]).
     ///
     /// Negative or non-finite inputs saturate to zero.
     #[inline]
     pub fn from_nanos_f64(ns: f64) -> Self {
-        if ns.is_finite() && ns > 0.0 {
+        // On `[1, 2^52)` the ulp is at most 0.5, so `ns + 0.5` is exact
+        // below the next power of two, and truncating it is `round`; a sum
+        // that reaches the power is at most half past it, and `round`
+        // gives that power too. On the baseline x86-64 target `round` is
+        // a software call, and every pipe reservation would make it.
+        if (1.0..EXACT_HALF_UP).contains(&ns) {
+            Nanos((ns + 0.5) as u64)
+        } else if ns.is_finite() && ns > 0.0 {
             Nanos(ns.round() as u64)
         } else {
             Nanos(0)
@@ -118,6 +126,9 @@ impl Nanos {
         }
     }
 }
+
+/// 2^52: the bound of [`Nanos::from_nanos_f64`]'s add-a-half rounding.
+const EXACT_HALF_UP: f64 = (1u64 << 52) as f64;
 
 /// The measured span of a run of `duration` whose first `warmup` is
 /// discarded: `duration - warmup`. Equal values give an empty window.
@@ -431,6 +442,69 @@ mod tests {
         assert_eq!(Nanos::from_nanos_f64(-3.0), Nanos::ZERO);
         assert_eq!(Nanos::from_nanos_f64(f64::NAN), Nanos::ZERO);
         assert_eq!(Nanos::from_nanos_f64(2.6), Nanos::new(3));
+    }
+
+    /// `from_nanos_f64` as it was before its add-a-half fast path.
+    fn rounded(ns: f64) -> u64 {
+        if ns.is_finite() && ns > 0.0 {
+            ns.round() as u64
+        } else {
+            0
+        }
+    }
+
+    /// The fast path is `round()` exactly: on the edges of its range and
+    /// of the halves, and on random bit patterns of either sign in every
+    /// binade from 2^-4 to 2^66.
+    #[test]
+    fn from_nanos_f64_matches_round() {
+        let p52 = (1u64 << 52) as f64;
+        let edges = [
+            0.49999999999999994,
+            0.5,
+            1.0,
+            1.5,
+            2.5,
+            p52 - 0.5,
+            p52 - 1.5,
+            p52,
+            p52 + 1.0,
+            (1u64 << 53) as f64,
+            u64::MAX as f64,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+            -0.5,
+            -1.5,
+            f64::MIN_POSITIVE,
+        ];
+        for ns in edges {
+            assert_eq!(Nanos::from_nanos_f64(ns).as_nanos(), rounded(ns), "{ns:e}");
+        }
+        crate::prop::check("from_nanos_f64_matches_round", |g| {
+            for _ in 0..256 {
+                let exponent = g.u64(1023 - 4..1023 + 67);
+                let bits = (u64::from(g.bool()) << 63) | (exponent << 52) | g.u64(0..1 << 52);
+                let ns = f64::from_bits(bits);
+                crate::prop_assert_eq!(Nanos::from_nanos_f64(ns).as_nanos(), rounded(ns), "{ns:e}");
+                // The nearest halves and their neighbours.
+                let half = ns.trunc() + 0.5;
+                for x in [
+                    half,
+                    f64::from_bits(half.to_bits() - 1),
+                    f64::from_bits(half.to_bits() + 1),
+                ] {
+                    crate::prop_assert_eq!(
+                        Nanos::from_nanos_f64(x).as_nanos(),
+                        rounded(x),
+                        "{x:e}"
+                    );
+                }
+            }
+            Ok(())
+        });
     }
 
     #[test]

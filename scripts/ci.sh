@@ -77,6 +77,32 @@ if ! grep -q "ok. 2 passed" <<<"$llc_out"; then
     exit 1
 fi
 
+# The scheduler and the per-request primitives must stay exact. The
+# threshold property drives the engine's sorted deque and timing wheel
+# against the heap oracle while the queue spills and returns; the other
+# oracles pin the fast paths of `Nanos::from_nanos_f64`, `MultiServer`,
+# the `Pipe` service memo, the `Zipf` guide table and the `HashIndex`
+# buckets to the code they replaced. Run the seven by name and refuse a
+# run where the filters matched anything else.
+prim_out=$(cargo test --release --offline -p simnet -p snic-kvstore --lib -- \
+    engine_matches_baseline_across_the_deque_threshold from_nanos_f64_matches_round \
+    multiserver_matches_heap_model pipe_memo_matches_uncached_service \
+    zipf_guide_matches_the_searches remove_then_reinsert_keeps_lookups_and_probes \
+    bucket_remove_keeps_live_entries_in_order 2>&1) || {
+    echo "$prim_out"
+    echo "ci.sh: scheduler and primitive oracle tests FAILED" >&2
+    exit 1
+}
+if ! grep -q "ok. 5 passed" <<<"$prim_out" || ! grep -q "ok. 2 passed" <<<"$prim_out"; then
+    echo "$prim_out"
+    echo "ci.sh: expected exactly five simnet tests (engine_matches_baseline_across_the_deque_threshold," \
+        "from_nanos_f64_matches_round, multiserver_matches_heap_model," \
+        "pipe_memo_matches_uncached_service, zipf_guide_matches_the_searches) and two" \
+        "snic-kvstore tests (remove_then_reinsert_keeps_lookups_and_probes," \
+        "bucket_remove_keeps_live_entries_in_order) (filtered out or renamed?)" >&2
+    exit 1
+fi
+
 # Every DMA leg must stay exact: the digest test folds each leg's
 # finish time, hop breakdown and PCIe counters on the three server NICs,
 # healthy and degraded, into one constant. Run it by name and refuse a
@@ -125,4 +151,4 @@ for workload in rack_verbs rack_services harness_sweep; do
     fi
 done
 
-echo "ci.sh: build + tests + fmt + clippy (workspace and snicbench) + rustdoc + cluster determinism + golden digests + LLC oracle tests (lockstep_matches_per_line_oracle, repeated_receive_buffer_write_on_xeon) + DMA-leg digest (dma_legs_match_recorded_digest) + quickstart example + Figure-1 table and KV examples + benchmark smoke all green (offline)"
+echo "ci.sh: build + tests + fmt + clippy (workspace and snicbench) + rustdoc + cluster determinism + golden digests + LLC oracle tests (lockstep_matches_per_line_oracle, repeated_receive_buffer_write_on_xeon) + scheduler and primitive oracles (engine_matches_baseline_across_the_deque_threshold, from_nanos_f64_matches_round, multiserver_matches_heap_model, pipe_memo_matches_uncached_service, zipf_guide_matches_the_searches, remove_then_reinsert_keeps_lookups_and_probes, bucket_remove_keeps_live_entries_in_order) + DMA-leg digest (dma_legs_match_recorded_digest) + quickstart example + Figure-1 table and KV examples + benchmark smoke all green (offline)"

@@ -365,8 +365,10 @@ impl ClusterResult {
 /// Panics if the warmup ends after the run, the scenario names a
 /// missing server, a stream references a missing client machine (or
 /// lists none for a remote path), a SmartNIC path targets a server
-/// without a SmartNIC, or a KV placement other than host RPC or
-/// one-sided READs meets a server without one.
+/// without a SmartNIC, a KV placement other than host RPC or
+/// one-sided READs meets a server without one, or there are more than
+/// 65,536 streams or a stream has more than 65,536 threads per client
+/// (events carry both indices as `u16`).
 pub fn run_cluster(scenario: &ClusterScenario, streams: &[ClusterStream]) -> ClusterResult {
     let window = measured_window(scenario.warmup, scenario.duration);
     let n_clients = scenario.cluster.clients.len();
@@ -446,6 +448,18 @@ pub fn run_cluster(scenario: &ClusterScenario, streams: &[ClusterStream]) -> Clu
     }
 
     for (si, stream) in streams.iter().enumerate() {
+        // Rack events carry stream and thread indices as `u16`.
+        assert!(
+            si < 1 << 16,
+            "stream '{}' is stream {si}, but rack events index at most 65536 streams",
+            stream.label
+        );
+        assert!(
+            stream.threads_per_client <= 1 << 16,
+            "stream '{}' has {} threads per client, but rack events index at most 65536",
+            stream.label,
+            stream.threads_per_client
+        );
         let zipfs = StreamZipfs::new(stream);
         // KV streams fan out over every server; the entry check above
         // covers them.
@@ -1090,6 +1104,15 @@ mod tests {
         let mut sc = tiny().with_workers(1);
         (sc.warmup, sc.duration) = (Nanos::from_micros(300), Nanos::from_micros(200));
         let st = ClusterStream::new(PathKind::Snic1, Verb::Read, 64, vec![0]);
+        run_cluster(&sc, &[st]);
+    }
+
+    #[test]
+    #[should_panic(expected = "has 65537 threads per client, but rack events index at most 65536")]
+    fn threads_past_the_event_index_are_rejected() {
+        let mut sc = tiny().with_workers(1);
+        (sc.warmup, sc.duration) = (Nanos::ZERO, Nanos::from_micros(1));
+        let st = ClusterStream::new(PathKind::Snic1, Verb::Read, 64, vec![0]).with_threads(65_537);
         run_cluster(&sc, &[st]);
     }
 

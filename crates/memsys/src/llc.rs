@@ -17,6 +17,10 @@
 //!   most-recently-used tag last, allocated on first touch in chunks of
 //!   64 sets behind a `u32`-per-chunk directory, so a machine that only
 //!   touches a few sets never pays for the rest;
+//! * a way stores its line's tag relative to the set, `line / sets`, in
+//!   a 16-bit word while every stored tag fits; the first access to a
+//!   tag of `u16::MAX` or more (an address above about 112 GB on the
+//!   Xeon spec) widens the arena to 64-bit words once, keeping every way;
 //! * an access walks its lines once and moves tags in place (a hit on the
 //!   MRU tag moves nothing), then reserves each slice once for all of its
 //!   lines with [`Server::reserve_run`], which leaves the slice exactly
@@ -35,9 +39,53 @@ use simnet::time::Nanos;
 /// Sets per lazily allocated chunk of the tag arena.
 const CHUNK_SETS: usize = 64;
 
-/// An empty way. Never a tag: tags are line numbers, at most
-/// `u64::MAX >> 1` since a line is at least 2 bytes.
-const EMPTY: u64 = u64::MAX;
+/// A word of the tag arena: a way's set-relative tag, `line / sets`, or
+/// [`Word::EMPTY`].
+trait Word: Copy + Eq {
+    /// An empty way. Never a stored tag.
+    const EMPTY: Self;
+
+    /// Whether `tag` can be stored at this width.
+    fn fits(tag: u64) -> bool;
+
+    /// `tag` at this width; only meaningful when it [`fits`](Word::fits).
+    fn of(tag: u64) -> Self;
+}
+
+impl Word for u16 {
+    const EMPTY: u16 = u16::MAX;
+
+    fn fits(tag: u64) -> bool {
+        tag < u64::from(u16::MAX)
+    }
+
+    fn of(tag: u64) -> u16 {
+        tag as u16
+    }
+}
+
+impl Word for u64 {
+    /// Tags are at most `u64::MAX >> 1`: a line is at least 2 bytes.
+    const EMPTY: u64 = u64::MAX;
+
+    fn fits(_: u64) -> bool {
+        true
+    }
+
+    fn of(tag: u64) -> u64 {
+        tag
+    }
+}
+
+/// The touched chunks back to back, each set `ways` words, least
+/// recently used first, with its empty ways in front.
+#[derive(Debug, Clone)]
+enum Tags {
+    /// Every stored tag is below `u16::MAX`, the empty way.
+    Narrow(Vec<u16>),
+    /// After the first access to a tag of `u16::MAX` or more.
+    Wide(Vec<u64>),
+}
 
 /// Static description of an LLC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,9 +145,7 @@ pub struct LlcSim {
     /// Per chunk of [`CHUNK_SETS`] sets: 0 while no access has touched
     /// it, else 1 + the chunk's position in `tags`.
     chunks: Vec<u32>,
-    /// The touched chunks back to back. Each set is `ways` tags, least
-    /// recently used first, with its empty ways ([`EMPTY`]) in front.
-    tags: Vec<u64>,
+    tags: Tags,
     slices: Vec<Server>,
     hits: u64,
     misses: u64,
@@ -133,7 +179,7 @@ impl LlcSim {
             line_shift: spec.line.trailing_zeros(),
             sets: sets as usize,
             chunks: vec![0; chunks as usize],
-            tags: Vec::new(),
+            tags: Tags::Narrow(Vec::new()),
             slices: vec![Server::new(); spec.slices as usize],
             hits: 0,
             misses: 0,
@@ -150,13 +196,17 @@ impl LlcSim {
     /// touching LRU state.
     pub fn probe(&self, addr: u64, _bytes: u64) -> bool {
         let line = addr >> self.line_shift;
-        let set = (line % self.sets as u64) as usize;
-        let ways = self.spec.ways as usize;
+        let sets = self.sets as u64;
+        let (tag, set) = (line / sets, (line % sets) as usize);
         match self.chunks[set / CHUNK_SETS] {
             0 => false,
             id => {
-                let start = self.set_start(id, set);
-                self.tags[start..start + ways].contains(&line)
+                let ways = self.spec.ways as usize;
+                let start = set_start(id, set, ways);
+                match &self.tags {
+                    Tags::Narrow(tags) => holds(&tags[start..start + ways], tag),
+                    Tags::Wide(tags) => holds(&tags[start..start + ways], tag),
+                }
             }
         }
     }
@@ -186,48 +236,35 @@ impl LlcSim {
         self.reserve_slices(now, first, lines)
     }
 
-    /// Index in `tags` of `set`'s first way, in the chunk with directory
-    /// entry `id`.
-    fn set_start(&self, id: u32, set: usize) -> usize {
-        let ways = self.spec.ways as usize;
-        ((id as usize - 1) * CHUNK_SETS + set % CHUNK_SETS) * ways
-    }
-
-    /// Looks up and LRU-updates `lines` consecutive lines from `first`.
+    /// Looks up and LRU-updates `lines` consecutive lines from `first`,
+    /// first widening the arena if the last line's tag needs it.
     fn touch(&mut self, first: u64, lines: u64) {
-        let ways = self.spec.ways as usize;
-        let (mut hits, mut misses) = (0, 0);
-        let mut set = (first % self.sets as u64) as usize;
-        for line in first..first + lines {
-            let chunk = set / CHUNK_SETS;
-            if self.chunks[chunk] == 0 {
-                self.tags.resize(self.tags.len() + CHUNK_SETS * ways, EMPTY);
-                self.chunks[chunk] = (self.tags.len() / (CHUNK_SETS * ways)) as u32;
-            }
-            let start = self.set_start(self.chunks[chunk], set);
-            // Put `line` in the MRU way and push the tags below it down
-            // one way, down to the way that held `line` (a hit) or past
-            // way 0, evicting its LRU tag or empty way (a miss). A hit on
-            // the MRU tag moves nothing.
-            let mut carry = line;
-            for way in self.tags[start..start + ways].iter_mut().rev() {
-                carry = std::mem::replace(way, carry);
-                if carry == line {
-                    break;
-                }
-            }
-            if carry == line {
-                hits += 1;
-            } else {
-                misses += 1;
-            }
-            set += 1;
-            if set == self.sets {
-                set = 0;
+        let sets = self.sets as u64;
+        let (tag, set) = (first / sets, (first % sets) as usize);
+        if let Tags::Narrow(narrow) = &self.tags {
+            // The last line has the largest tag, and a tag reaches
+            // `u16::MAX` from line `u16::MAX * sets` on.
+            if first + lines > u64::from(u16::MAX) * sets {
+                let wide = narrow
+                    .iter()
+                    .map(|&t| {
+                        if t == u16::EMPTY {
+                            u64::EMPTY
+                        } else {
+                            u64::from(t)
+                        }
+                    })
+                    .collect();
+                self.tags = Tags::Wide(wide);
             }
         }
+        let (ways, chunks) = (self.spec.ways as usize, &mut self.chunks[..]);
+        let hits = match &mut self.tags {
+            Tags::Narrow(tags) => walk(tags, chunks, ways, self.sets, set, tag, lines),
+            Tags::Wide(tags) => walk(tags, chunks, ways, self.sets, set, tag, lines),
+        };
         self.hits += hits;
-        self.misses += misses;
+        self.misses += lines - hits;
     }
 
     /// Reserves every slice once for its share of `lines` consecutive
@@ -263,6 +300,60 @@ impl LlcSim {
     pub fn misses(&self) -> u64 {
         self.misses
     }
+}
+
+/// Index in the arena of `set`'s first way, in the chunk with directory
+/// entry `id`.
+fn set_start(id: u32, set: usize, ways: usize) -> usize {
+    ((id as usize - 1) * CHUNK_SETS + set % CHUNK_SETS) * ways
+}
+
+/// Whether `set`, one set's ways, holds `tag`. A tag that does not fit
+/// the width was never stored.
+fn holds<T: Word>(set: &[T], tag: u64) -> bool {
+    T::fits(tag) && set.contains(&T::of(tag))
+}
+
+/// Looks up and LRU-updates `lines` consecutive lines, the first in set
+/// `set` of `sets` with tag `tag`, allocating chunks on first touch;
+/// returns the hits. Every tag walked must fit the width.
+fn walk<T: Word>(
+    tags: &mut Vec<T>,
+    chunks: &mut [u32],
+    ways: usize,
+    sets: usize,
+    mut set: usize,
+    mut tag: u64,
+    lines: u64,
+) -> u64 {
+    let mut hits = 0;
+    for _ in 0..lines {
+        let chunk = set / CHUNK_SETS;
+        if chunks[chunk] == 0 {
+            tags.resize(tags.len() + CHUNK_SETS * ways, T::EMPTY);
+            chunks[chunk] = (tags.len() / (CHUNK_SETS * ways)) as u32;
+        }
+        let start = set_start(chunks[chunk], set, ways);
+        // Put the line in the MRU way and push the tags below it down
+        // one way, down to the way that held the line (a hit) or past
+        // way 0, evicting its LRU tag or empty way (a miss). A hit on
+        // the MRU tag moves nothing.
+        let line = T::of(tag);
+        let mut carry = line;
+        for way in tags[start..start + ways].iter_mut().rev() {
+            carry = std::mem::replace(way, carry);
+            if carry == line {
+                break;
+            }
+        }
+        hits += u64::from(carry == line);
+        set += 1;
+        if set == sets {
+            set = 0;
+            tag += 1;
+        }
+    }
+    hits
 }
 
 #[cfg(test)]
@@ -373,6 +464,19 @@ mod tests {
         llc.chunks.iter().filter(|&&id| id != 0).count()
     }
 
+    /// The tag arena's words in use, words allocated and bytes in use, at
+    /// whichever width it has.
+    fn arena(llc: &LlcSim) -> (usize, usize, usize) {
+        match &llc.tags {
+            Tags::Narrow(t) => (t.len(), t.capacity(), std::mem::size_of_val(&t[..])),
+            Tags::Wide(t) => (t.len(), t.capacity(), std::mem::size_of_val(&t[..])),
+        }
+    }
+
+    fn is_wide(llc: &LlcSim) -> bool {
+        matches!(llc.tags, Tags::Wide(_))
+    }
+
     #[test]
     fn sets_arithmetic() {
         let s = tiny_spec();
@@ -461,7 +565,7 @@ mod tests {
     fn tag_storage_is_allocated_per_touched_chunk() {
         let line = LlcSpec::xeon_like().line;
         let llc = LlcSim::new(LlcSpec::xeon_like());
-        assert_eq!(llc.tags.capacity(), 0, "a new cache holds no tags");
+        assert_eq!(arena(&llc).1, 0, "a new cache holds no tags");
         assert!(std::mem::size_of_val(&llc.chunks[..]) < 2 << 10);
 
         let mut one = llc.clone();
@@ -473,7 +577,67 @@ mod tests {
         two.access(Nanos::ZERO, 32 * line, 4096);
         assert_eq!(chunks_allocated(&two), 2);
         let ways = LlcSpec::xeon_like().ways as usize;
-        assert_eq!(two.tags.len(), 2 * CHUNK_SETS * ways);
+        assert_eq!(arena(&two).0, 2 * CHUNK_SETS * ways);
+
+        // The requester's 16 MiB receive buffer touches every set, and
+        // its tags (at most 9) fit 16-bit words: 419 chunks of 64 sets
+        // x 11 ways x 2 B.
+        let mut full = LlcSim::new(LlcSpec::xeon_like());
+        full.access(Nanos::ZERO, 0, 16 << 20);
+        assert!(!is_wide(&full));
+        assert_eq!(chunks_allocated(&full), 419);
+        assert_eq!(arena(&full).2, 589_952);
+    }
+
+    /// The narrow bound on a tiny spec and on the Xeon spec, against the
+    /// per-line oracle after every access. While the arena is narrow it
+    /// stores tag 65,534, the largest that fits, in the last set and tag
+    /// 0 in set 1, and probes of tags 65,535 (the empty way's word) and
+    /// 65,536 (tag 0 truncated) in set 1 answer false without widening.
+    /// A two-line access from the last set's line wraps to set 0's line
+    /// with tag 65,535: its first tag fits and its last does not, so it
+    /// widens before its walk, keeping every resident tag in its way and
+    /// every empty way empty. After it, tags 0, 65,535 and 65,536 share
+    /// set 1.
+    #[test]
+    fn narrow_tags_widen_in_place() {
+        for spec in [tiny_spec(), LlcSpec::xeon_like()] {
+            let sets = spec.sets();
+            let at = |tag: u64, set: u64| (tag * sets + set) * spec.line;
+            let probes: Vec<u64> = [0, 1, 65_534, 65_535, 65_536, 65_537, 131_071]
+                .into_iter()
+                .flat_map(|tag| [0, 1, sets - 1].map(|set| at(tag, set)))
+                .collect();
+            let mut fast = LlcSim::new(spec);
+            let mut slow = PerLineLlc::new(spec);
+            let mut step = |fast: &mut LlcSim, addr: u64, bytes: u64, wide: bool| {
+                let done = fast.access(Nanos::ZERO, addr, bytes);
+                assert_eq!(done, slow.access(Nanos::ZERO, addr, bytes), "{addr:#x}");
+                assert_eq!((fast.hits(), fast.misses()), (slow.hits, slow.misses));
+                assert_eq!(is_wide(fast), wide, "width after {addr:#x}");
+                for &p in &probes {
+                    assert_eq!(fast.probe(p, 1), slow.probe(p, 1), "probe {p:#x}");
+                }
+                arena(fast)
+            };
+            step(&mut fast, at(65_534, sets - 1), 1, false);
+            let narrow = step(&mut fast, at(0, 1), 1, false);
+            assert!(fast.probe(at(65_534, sets - 1), 1) && fast.probe(at(0, 1), 1));
+            assert!(!fast.probe(at(65_535, 1), 1) && !fast.probe(at(65_536, 1), 1));
+            assert!(!is_wide(&fast), "a probe widened the arena");
+            // A hit on the last set's line, then set 0's line with tag
+            // 65,535, in chunks already allocated.
+            let wide = step(&mut fast, at(65_534, sets - 1), 2 * spec.line, true);
+            assert_eq!(wide.0, narrow.0, "widening moved the chunks");
+            assert_eq!(wide.2, 4 * narrow.2);
+            // Set 1 still holds tag 0 and `ways - 1` empty ways.
+            assert!(!fast.probe(at(65_535, 1), 1), "an empty way became a tag");
+            step(&mut fast, at(65_535, 1), 1, true);
+            step(&mut fast, at(65_536, 1), 1, true);
+            let resident = [at(0, 1), at(65_535, 1), at(65_536, 1), at(65_535, 0)];
+            assert!(resident.iter().all(|&a| fast.probe(a, 1)));
+            assert_eq!((fast.hits(), fast.misses()), (1, 5));
+        }
     }
 
     /// The requester's pattern on the Xeon spec: every READ response is
@@ -512,12 +676,23 @@ mod tests {
     /// accesses, 1 B to 4 MiB at a rising `now`: raw accesses (DDIO
     /// writes) and reads that access only when `probe` hits (the
     /// `MemSystem::dma_access` rule), then probes across each touched
-    /// span. Some accesses repeat the previous access's lines, from the
-    /// same bytes or another offset and length, and on tiny specs many
-    /// of those overflow their sets. Finish times, counters, probe
-    /// verdicts and slice state must agree.
+    /// span and at the lines 65,536 tags on in the same sets. Some
+    /// accesses repeat the previous access's lines, from the same bytes
+    /// or another offset and length, and on tiny specs many of those
+    /// overflow their sets; others sit next to the 16-bit tag bound.
+    /// Finish times, counters, probe verdicts and slice state must
+    /// agree, and both narrow-only cases and widenings of an arena that
+    /// holds tags must occur.
     #[test]
     fn lockstep_matches_per_line_oracle() {
+        // Cases that ended narrow after probing a tag past the narrow
+        // bound, and cases that widened a narrow arena holding tags.
+        let seen = std::cell::Cell::new([0u32; 2]);
+        let note = |i: usize| {
+            let mut s = seen.get();
+            s[i] += 1;
+            seen.set(s);
+        };
         check("llc_lockstep_matches_per_line_oracle", |g| {
             let spec = if g.bool() {
                 LlcSpec::xeon_like()
@@ -528,6 +703,11 @@ mod tests {
             let mut slow = PerLineLlc::new(spec);
             let mut now = Nanos::ZERO;
             let mut spans: Vec<(u64, u64)> = Vec::new();
+            let past_bound = |a: u64| !u16::fits((a / spec.line) / spec.sets());
+            // 65,536 tags on in the same set: a 16-bit word cannot tell
+            // the two lines apart.
+            let alias = (1 << 16) * spec.sets() * spec.line;
+            let (mut probed_past_bound, mut widened) = (false, false);
             for step in 0..g.usize(1..160) {
                 now += Nanos::new(g.u64(0..300));
                 let (addr, bytes) = match g.u64(0..10) {
@@ -567,6 +747,17 @@ mod tests {
                             (at, last + offsets[1] - at + 1)
                         }
                     }
+                    // Up to two lines from a tag next to the narrow
+                    // bound, or from 0 or 1, which a 16-bit word cannot
+                    // tell from 65,536 or 65,537, in set 0, set 1 or the
+                    // last set: widenings, and probes of tags a narrow
+                    // arena cannot hold.
+                    5 => {
+                        let tag = [0, 1, 65_533, 65_534, 65_535, 65_536, 65_537][g.usize(0..7)];
+                        let line = tag * spec.sets() + [0, 1, spec.sets() - 1][g.usize(0..3)];
+                        let at = line * spec.line + g.u64(0..spec.line);
+                        (at, size_up_to(g, 2 * spec.line))
+                    }
                     // Up to a line among 1.5 x ways tags that compete for
                     // two sets: hits at every LRU position, and evictions.
                     _ => {
@@ -578,12 +769,15 @@ mod tests {
                 if g.bool() {
                     let resident = fast.probe(addr, bytes);
                     prop_assert_eq!(resident, slow.probe(addr, bytes), "read probe, step {step}");
+                    probed_past_bound |= !is_wide(&fast) && past_bound(addr);
                     if !resident {
                         continue;
                     }
                 }
                 spans.push((addr, bytes));
+                let narrow_with_tags = !is_wide(&fast) && fast.misses() > 0;
                 let done = fast.access(now, addr, bytes);
+                widened |= narrow_with_tags && is_wide(&fast);
                 prop_assert_eq!(done, slow.access(now, addr, bytes), "finish, step {step}");
                 prop_assert_eq!(
                     (fast.hits(), fast.misses()),
@@ -592,8 +786,17 @@ mod tests {
                 );
                 for k in 0..=16 {
                     let a = addr + (bytes - 1) * k / 16;
-                    prop_assert_eq!(fast.probe(a, 1), slow.probe(a, 1), "probe {a:#x}");
+                    for a in std::iter::once(a).chain(a.checked_add(alias)) {
+                        prop_assert_eq!(fast.probe(a, 1), slow.probe(a, 1), "probe {a:#x}");
+                        probed_past_bound |= !is_wide(&fast) && past_bound(a);
+                    }
                 }
+            }
+            if probed_past_bound && !is_wide(&fast) {
+                note(0);
+            }
+            if widened {
+                note(1);
             }
             for (f, s) in fast.slices.iter().zip(&slow.slices) {
                 prop_assert_eq!(
@@ -603,5 +806,10 @@ mod tests {
             }
             Ok(())
         });
+        let [narrow, widened] = seen.get();
+        assert!(
+            narrow > 0 && widened > 0,
+            "{narrow} cases ended narrow after probing past the bound, {widened} widened with tags"
+        );
     }
 }

@@ -76,11 +76,17 @@ pub struct KvWindowObs {
 impl KvWindowObs {
     /// Mean probes per get in the window (1.0 when no gets ran).
     pub fn mean_probes(&self) -> f64 {
-        if self.reads == 0 {
-            1.0
-        } else {
-            self.probe_sum as f64 / self.reads as f64
-        }
+        mean_probes(self.probe_sum, self.reads)
+    }
+}
+
+/// Mean probes of `reads` gets that probed `probe_sum` buckets in all
+/// (1.0 when no gets ran).
+fn mean_probes(probe_sum: u64, reads: u64) -> f64 {
+    if reads == 0 {
+        1.0
+    } else {
+        probe_sum as f64 / reads as f64
     }
 }
 
@@ -417,11 +423,7 @@ impl KvServer {
         } else {
             0.0
         };
-        let mean_probes = if self.win_reads == 0 {
-            1.0
-        } else {
-            self.win_probe_sum as f64 / self.win_reads as f64
-        };
+        let mean_probes = mean_probes(self.win_probe_sum, self.win_reads);
         let host_op =
             self.host_svc.as_nanos() as f64 + KV_HOST_PROBE.as_nanos() as f64 * mean_probes;
         let soc_op = self.soc_svc.as_nanos() as f64 + KV_SOC_PROBE.as_nanos() as f64 * mean_probes;

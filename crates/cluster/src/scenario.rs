@@ -609,7 +609,6 @@ pub fn run_cluster(scenario: &ClusterScenario, streams: &[ClusterStream]) -> Clu
 
     // Merge per-stream aggregates and counters in shard-index order —
     // another fixed order, independent of the worker count.
-    let wsecs = window.as_secs_f64();
     let results: Vec<ClusterStreamResult> = streams
         .iter()
         .enumerate()
@@ -636,8 +635,8 @@ pub fn run_cluster(scenario: &ClusterScenario, streams: &[ClusterStream]) -> Clu
             ClusterStreamResult {
                 label: stream.label.clone(),
                 latency: hist.summary(),
-                ops: Rate::per_sec(ops as f64 / wsecs),
-                goodput: Bandwidth::bytes_per_sec(bytes as f64 / wsecs),
+                ops: Rate::over(ops, window),
+                goodput: Bandwidth::over(bytes, window),
                 completions: ops,
                 offered: Rate::per_sec(stream.open.as_ref().map_or(0.0, |o| o.offered_per_sec())),
                 generated,
@@ -1096,6 +1095,22 @@ mod tests {
     #[should_panic(expected = "local far memory")]
     fn local_farmem_rejects_clients() {
         let _ = ClusterStream::fm_service(FmStreamSpec::new(FmPlacement::LocalSoc), vec![0]);
+    }
+
+    /// A run whose warmup is the whole run (a zero-horizon set-up call)
+    /// has an empty measured window: its rates and its CSV read zero,
+    /// not NaN.
+    #[test]
+    fn empty_window_reports_zero_rates() {
+        let mut sc = tiny().with_workers(1);
+        (sc.warmup, sc.duration) = (Nanos::ZERO, Nanos::ZERO);
+        let st = ClusterStream::new(PathKind::Snic1, Verb::Read, 64, vec![0]);
+        let r = run_cluster(&sc, &[st]);
+        let s = &r.streams[0];
+        assert_eq!(s.ops.as_per_sec(), 0.0);
+        assert_eq!(s.goodput.as_bytes_per_sec(), 0.0);
+        let csv = r.to_csv();
+        assert!(!csv.contains("NaN"), "{csv}");
     }
 
     #[test]

@@ -26,7 +26,7 @@ mod server;
 use nicsim::{ClientMachine, DpaStats, Fabric, PathKind, Verb};
 use rdma_sim::transport::SignalTracker;
 use simnet::arrivals::{user_home_addr, AdmissionQueue, ArrivalGen, OpenLoopSpec};
-use simnet::engine::{Engine, Step};
+use simnet::engine::Engine;
 use simnet::faults::FaultSpec;
 use simnet::resource::MultiServer;
 use simnet::rng::{SimRng, Zipf};
@@ -690,41 +690,34 @@ impl Shard {
     /// handing each to the role that owns it.
     pub(crate) fn run_until(&mut self, deadline: Nanos) {
         let Shard { engine, io, role } = self;
-        engine.run_until(deadline, |eng, now, ev| {
-            match (ev, &mut *role) {
-                (Ev::Post { stream, thread }, Role::Client(c)) => {
-                    c.post(io, eng, now, stream, thread)
-                }
-                (Ev::Post { stream, thread }, Role::Server(s)) => {
-                    s.post(io, eng, now, stream, thread)
-                }
-                (
-                    Ev::Arrive {
-                        kind,
-                        bytes,
-                        drained,
-                        ..
-                    },
-                    Role::Client(c),
-                ) => c.receive(io, eng, now, kind, bytes, drained),
-                (
-                    Ev::Arrive {
-                        kind,
-                        bytes,
-                        from,
-                        drained,
-                    },
-                    Role::Server(s),
-                ) => s.receive(io, now, kind, bytes, from, drained),
-                (Ev::Timeout { xid, attempt }, Role::Client(c)) => {
-                    c.timeout(io, eng, now, xid, attempt)
-                }
-                (Ev::KvEpoch, Role::Server(s)) => s.kv_epoch(eng, now),
-                (Ev::Timeout { .. }, Role::Server(_)) | (Ev::KvEpoch, Role::Client(_)) => {
-                    unreachable!("event armed on the wrong shard role")
-                }
+        engine.run_until(deadline, |eng, now, ev| match (ev, &mut *role) {
+            (Ev::Post { stream, thread }, Role::Client(c)) => c.post(io, eng, now, stream, thread),
+            (Ev::Post { stream, thread }, Role::Server(s)) => s.post(io, eng, now, stream, thread),
+            (
+                Ev::Arrive {
+                    kind,
+                    bytes,
+                    drained,
+                    ..
+                },
+                Role::Client(c),
+            ) => c.receive(io, eng, now, kind, bytes, drained),
+            (
+                Ev::Arrive {
+                    kind,
+                    bytes,
+                    from,
+                    drained,
+                },
+                Role::Server(s),
+            ) => s.receive(io, now, kind, bytes, from, drained),
+            (Ev::Timeout { xid, attempt }, Role::Client(c)) => {
+                c.timeout(io, eng, now, xid, attempt)
             }
-            Step::Continue
+            (Ev::KvEpoch, Role::Server(s)) => s.kv_epoch(eng, now),
+            (Ev::Timeout { .. }, Role::Server(_)) | (Ev::KvEpoch, Role::Client(_)) => {
+                unreachable!("event armed on the wrong shard role")
+            }
         });
     }
 }

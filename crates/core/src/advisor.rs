@@ -127,7 +127,7 @@ impl OffloadAdvisor {
     /// Advice #2: the READ payload above which the SoC path head-of-line
     /// blocks (9 MB on Bluefield-2).
     pub fn read_collapse_threshold(&self) -> u64 {
-        self.spec.nic.reorder_tlp_slots * self.spec.soc.pcie_mtu
+        self.spec.read_collapse_threshold()
     }
 
     /// Advice #2: segments a large READ targeting the SoC into safe
@@ -172,11 +172,7 @@ impl OffloadAdvisor {
     /// Advice #3: the payload above which host<->SoC transfers lose
     /// cut-through (per requester side).
     pub fn path3_cutthrough_threshold(&self, requester: Endpoint) -> u64 {
-        let base = self.spec.nic.reorder_tlp_slots * self.spec.soc.pcie_mtu / 2;
-        match requester {
-            Endpoint::Host => base,
-            Endpoint::Soc => base / 2,
-        }
+        self.spec.path3_threshold(requester == Endpoint::Soc)
     }
 
     /// Advice #3: safe path-3 bandwidth when the NIC is saturated by

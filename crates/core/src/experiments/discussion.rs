@@ -96,8 +96,8 @@ pub fn bluefield3_table() -> Table {
     ]);
     t.push(vec![
         "READ collapse threshold (SoC)".into(),
-        fmt_bytes(bf2.nic.reorder_tlp_slots * bf2.soc.pcie_mtu),
-        fmt_bytes(bf3.nic.reorder_tlp_slots * bf3.soc.pcie_mtu),
+        fmt_bytes(bf2.read_collapse_threshold()),
+        fmt_bytes(bf3.read_collapse_threshold()),
     ]);
     t.push(vec![
         "host-path tax one-way [ns]".into(),

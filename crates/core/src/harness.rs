@@ -13,11 +13,11 @@
 use nicsim::{Completion, Fabric, PathKind, RequestDesc, Verb};
 use pcie_model::counters::{LinkId, PcieCounters};
 use rdma_sim::doorbell::{PostCostModel, PostMode, PosterKind};
-use simnet::engine::{Engine, Step};
+use simnet::engine::Engine;
 use simnet::faults::{drive_attempts, fault_key, FaultSpec};
 use simnet::metrics::{CounterId, Hop, HopBreakdown, Registry};
 use simnet::rng::SimRng;
-use simnet::stats::{Histogram, LatencySummary, RateMeter};
+use simnet::stats::{Histogram, LatencySummary};
 use simnet::time::{measured_window, Bandwidth, Nanos, Rate};
 use simnet::trace::{TraceCat, TraceRing};
 
@@ -398,7 +398,9 @@ struct StreamState {
     cost: PostCostModel,
     threads: Vec<ThreadState>,
     hist: Histogram,
-    meter: RateMeter,
+    /// Completions inside the measured window, and their payload bytes.
+    completed: u64,
+    bytes: u64,
     pace: Nanos,
     bd_sum: HopBreakdown,
     bd_count: u64,
@@ -465,7 +467,8 @@ pub fn run_scenario_detailed(
                     })
                     .collect(),
                 hist: Histogram::new(),
-                meter: RateMeter::new(),
+                completed: 0,
+                bytes: 0,
                 pace,
                 bd_sum: HopBreakdown::new(),
                 bd_count: 0,
@@ -655,7 +658,8 @@ pub fn run_scenario_detailed(
         // posts completing inside the window).
         if c.completed <= horizon {
             st.hist.record(c.latency());
-            st.meter.record(c.completed, spec.payload);
+            st.completed += 1;
+            st.bytes += spec.payload;
             if let Some(bd) = bd {
                 st.bd_sum.merge(&bd);
                 st.bd_count += 1;
@@ -687,12 +691,12 @@ pub fn run_scenario_detailed(
             &mut registry,
             &mut trace,
         );
-        Step::Continue
     });
     // Reset meters and counters; measure.
     for st in &mut states {
         st.hist = Histogram::new();
-        st.meter.open_window(scenario.warmup);
+        st.completed = 0;
+        st.bytes = 0;
         st.bd_sum = HopBreakdown::new();
         st.bd_count = 0;
         st.e2e_sum = Nanos::ZERO;
@@ -711,11 +715,9 @@ pub fn run_scenario_detailed(
             &mut registry,
             &mut trace,
         );
-        Step::Continue
     });
 
     let counters = fabric.server.counters().delta_since(&snap);
-    let wsecs = window.as_secs_f64();
     let breakdown = if metrics_on {
         states
             .iter()
@@ -738,8 +740,8 @@ pub fn run_scenario_detailed(
             .map(|st| StreamResult {
                 label: st.spec.label.clone(),
                 latency: st.hist.summary(),
-                ops: Rate::per_sec(st.meter.ops() as f64 / wsecs),
-                goodput: Bandwidth::bytes_per_sec(st.meter.bytes() as f64 / wsecs),
+                ops: Rate::over(st.completed, window),
+                goodput: Bandwidth::over(st.bytes, window),
                 retransmits: st.retransmits,
                 retry_exhausted: st.retry_exhausted,
             })
@@ -810,6 +812,23 @@ mod tests {
             ..Scenario::latency()
         };
         run_scenario(&sc, &[StreamSpec::new(PathKind::Snic1, Verb::Read, 64, 1)]);
+    }
+
+    /// A run whose warmup is the whole run (a zero-horizon set-up call)
+    /// has an empty measured window: its rates read zero, not NaN.
+    #[test]
+    fn empty_window_reports_zero_rates() {
+        let sc = Scenario {
+            warmup: Nanos::ZERO,
+            duration: Nanos::ZERO,
+            ..Scenario::latency()
+        };
+        let r = run_scenario(&sc, &[StreamSpec::new(PathKind::Snic1, Verb::Read, 64, 1)]);
+        let s = &r.streams[0];
+        assert_eq!(s.ops.as_per_sec(), 0.0);
+        assert_eq!(s.goodput.as_bytes_per_sec(), 0.0);
+        assert_eq!(r.total_ops().as_per_sec(), 0.0);
+        assert_eq!(r.total_goodput().as_bytes_per_sec(), 0.0);
     }
 
     #[test]

@@ -13,6 +13,9 @@ pub const SLOTS_PER_BUCKET: usize = 4;
 /// Bytes a bucket occupies in registered memory (key + addr + len per
 /// slot, padded to a 64 B line).
 pub const BUCKET_BYTES: u64 = 64;
+/// The most buckets an insert or a lookup walks; an insert that finds
+/// none with room within it fails with [`IndexError::Full`].
+const MAX_PROBES: usize = 64;
 
 /// One index entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,63 +37,31 @@ const VACANT: Entry = Entry {
 
 #[derive(Debug, Clone, Copy)]
 struct Bucket {
-    /// The first `live` slots hold the live entries, in insertion order.
+    /// The first `live` slots hold the entries, in insertion order.
     slots: [Entry; SLOTS_PER_BUCKET],
     live: u8,
-    /// Slots holding a removal marker (`live + tombstones <=
-    /// SLOTS_PER_BUCKET`). A tombstone keeps the bucket's occupancy up
-    /// so probe chains that ran through it while it was full stay
-    /// reachable; inserts reclaim tombstoned slots first.
-    tombstones: u8,
 }
 
 impl Bucket {
     const EMPTY: Bucket = Bucket {
         slots: [VACANT; SLOTS_PER_BUCKET],
         live: 0,
-        tombstones: 0,
     };
 
-    /// The live entries.
+    /// The stored entries.
     fn entries(&self) -> &[Entry] {
         &self.slots[..usize::from(self.live)]
     }
 
-    /// Position of `key` among the live entries.
+    /// Position of `key` among the entries.
     fn find(&self, key: u64) -> Option<usize> {
         self.entries().iter().position(|e| e.key == key)
     }
 
-    /// Physical occupancy: live entries plus tombstones. The probe
-    /// chain terminates only at a bucket whose occupancy is below
-    /// [`SLOTS_PER_BUCKET`] — i.e. one that has *never* been full —
-    /// because occupancy never decreases.
-    fn occupancy(&self) -> usize {
-        usize::from(self.live + self.tombstones)
-    }
-
-    /// Whether a new entry fits (a free or tombstoned slot exists).
-    fn has_room(&self) -> bool {
-        usize::from(self.live) < SLOTS_PER_BUCKET
-    }
-
-    /// Places an entry, reclaiming a tombstoned slot when one exists so
-    /// occupancy (and thus chain shape) only ever grows.
-    fn place(&mut self, e: Entry) {
-        debug_assert!(self.has_room());
-        self.tombstones = self.tombstones.saturating_sub(1);
-        self.slots[usize::from(self.live)] = e;
-        self.live += 1;
-    }
-
-    /// Removes the live entry at `pos`, keeping the others in order,
-    /// and leaves a tombstone in its place.
-    fn remove(&mut self, pos: usize) -> Entry {
-        let e = self.slots[pos];
-        self.slots.copy_within(pos + 1..usize::from(self.live), pos);
-        self.live -= 1;
-        self.tombstones += 1;
-        e
+    /// Whether every slot is taken. A probe chain ends at the first
+    /// bucket that is not full.
+    fn is_full(&self) -> bool {
+        usize::from(self.live) == SLOTS_PER_BUCKET
     }
 }
 
@@ -140,7 +111,6 @@ impl std::error::Error for IndexError {}
 pub struct HashIndex {
     buckets: Vec<Bucket>,
     base_addr: u64,
-    max_probes: u32,
     entries: u64,
 }
 
@@ -156,7 +126,6 @@ impl HashIndex {
         HashIndex {
             buckets: vec![Bucket::EMPTY; n_buckets],
             base_addr,
-            max_probes: 64,
             entries: 0,
         }
     }
@@ -182,13 +151,6 @@ impl HashIndex {
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
         self.entries == 0
-    }
-
-    /// Sets the probe bound (inserts beyond it fail with
-    /// [`IndexError::Full`]).
-    pub fn with_max_probes(mut self, bound: u32) -> Self {
-        self.max_probes = bound.max(1);
-        self
     }
 
     /// The registered address of bucket `i`.
@@ -219,44 +181,32 @@ impl HashIndex {
         self.buckets.len() as u64 * BUCKET_BYTES
     }
 
-    /// Inserts or updates a key.
-    ///
-    /// The walk must keep scanning past buckets that merely have a
-    /// tombstoned slot (the key may live further down the chain); only
-    /// a bucket that has never been full proves absence. The first slot
-    /// with room seen along the way is remembered so reinsertions
-    /// reclaim tombstones instead of lengthening chains.
+    /// Inserts or updates a key: the entry goes into the first bucket
+    /// on the key's chain that is not full, unless a full bucket before
+    /// it already holds the key.
     pub fn insert(&mut self, key: u64, value_addr: u64, value_len: u32) -> Result<(), IndexError> {
         let start = self.hash(key);
         let n = self.buckets.len();
-        let mut first_open: Option<usize> = None;
-        for hop in 0..self.max_probes as usize {
-            let bi = (start + hop) % n;
-            let bucket = &mut self.buckets[bi];
+        for hop in 0..MAX_PROBES {
+            let bucket = &mut self.buckets[(start + hop) % n];
             if let Some(pos) = bucket.find(key) {
                 let slot = &mut bucket.slots[pos];
                 slot.value_addr = value_addr;
                 slot.value_len = value_len;
                 return Ok(());
             }
-            if first_open.is_none() && bucket.has_room() {
-                first_open = Some(bi);
-            }
-            if bucket.occupancy() < SLOTS_PER_BUCKET {
-                // Chain ends here: the key is absent everywhere.
-                break;
+            if !bucket.is_full() {
+                bucket.slots[usize::from(bucket.live)] = Entry {
+                    key,
+                    value_addr,
+                    value_len,
+                };
+                bucket.live += 1;
+                self.entries += 1;
+                return Ok(());
             }
         }
-        let Some(bi) = first_open else {
-            return Err(IndexError::Full);
-        };
-        self.buckets[bi].place(Entry {
-            key,
-            value_addr,
-            value_len,
-        });
-        self.entries += 1;
-        Ok(())
+        Err(IndexError::Full)
     }
 
     /// Looks up a key, reporting how many bucket probes a remote reader
@@ -264,45 +214,18 @@ impl HashIndex {
     pub fn lookup(&self, key: u64) -> Result<Lookup, IndexError> {
         let start = self.hash(key);
         let n = self.buckets.len();
-        for hop in 0..self.max_probes as usize {
-            let bi = (start + hop) % n;
-            let bucket = &self.buckets[bi];
+        for hop in 0..MAX_PROBES {
+            let bucket = &self.buckets[(start + hop) % n];
             if let Some(pos) = bucket.find(key) {
                 return Ok(Lookup {
                     entry: bucket.slots[pos],
                     probes: hop as u32 + 1,
                 });
             }
-            if bucket.occupancy() < SLOTS_PER_BUCKET {
-                // A never-full bucket terminates the probe chain
-                // (tombstones count: a once-full bucket stays opaque).
+            if !bucket.is_full() {
+                // Inserts fill a chain in order, so the key would sit
+                // here or earlier.
                 return Err(IndexError::NotFound);
-            }
-        }
-        Err(IndexError::NotFound)
-    }
-
-    /// Removes a key. Returns the removed entry.
-    ///
-    /// The freed slot becomes a tombstone rather than vanishing: plainly
-    /// freeing it would turn a full bucket non-full, and
-    /// `lookup`'s "never-full bucket terminates the chain" rule would
-    /// then lose every key that probed past this bucket while it was
-    /// full. Tombstones keep occupancy (and thus chain shape) intact;
-    /// later inserts reclaim them.
-    pub fn remove(&mut self, key: u64) -> Result<Entry, IndexError> {
-        let start = self.hash(key);
-        let n = self.buckets.len();
-        for hop in 0..self.max_probes as usize {
-            let bi = (start + hop) % n;
-            let bucket = &mut self.buckets[bi];
-            if let Some(pos) = bucket.find(key) {
-                self.entries -= 1;
-                return Ok(bucket.remove(pos));
-            }
-            if bucket.occupancy() < SLOTS_PER_BUCKET {
-                // Chain ends here: the key is absent everywhere.
-                break;
             }
         }
         Err(IndexError::NotFound)
@@ -369,17 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_then_lookup_fails() {
-        let mut idx = HashIndex::new(64, 0);
-        idx.insert(5, 50, 8).unwrap();
-        let e = idx.remove(5).unwrap();
-        assert_eq!(e.value_addr, 50);
-        assert_eq!(idx.lookup(5), Err(IndexError::NotFound));
-        assert_eq!(idx.remove(5), Err(IndexError::NotFound));
-        assert!(idx.is_empty());
-    }
-
-    #[test]
     fn bucket_addresses_are_line_aligned() {
         let idx = HashIndex::new(16, 0x10000);
         for i in 0..16 {
@@ -388,65 +300,9 @@ mod tests {
         assert_eq!(idx.region_len(), 16 * 64);
     }
 
-    /// Regression: removing a key from a full bucket must not make keys
-    /// that overflowed past that bucket unreachable. The pre-fix
-    /// `remove` back-shifted the slot vector, turning the full bucket
-    /// non-full, so `lookup` stopped there and lost the overflow key.
-    #[test]
-    fn remove_preserves_probe_chains_through_full_buckets() {
-        let mut idx = HashIndex::new(2, 0);
-        // Five keys homed on bucket 0: four fill it, the fifth
-        // overflows into bucket 1.
-        let homed: Vec<u64> = (0..10_000u64)
-            .filter(|&k| idx.home_bucket(k) == 0)
-            .take(SLOTS_PER_BUCKET + 1)
-            .collect();
-        assert_eq!(homed.len(), SLOTS_PER_BUCKET + 1);
-        for &k in &homed {
-            idx.insert(k, k, 8).unwrap();
-        }
-        let overflow = *homed.last().unwrap();
-        assert!(idx.lookup(overflow).unwrap().probes > 1);
-        // Remove one of the keys that sits in the (full) home bucket.
-        idx.remove(homed[0]).unwrap();
-        // The overflow key must still be reachable...
-        let l = idx
-            .lookup(overflow)
-            .expect("overflow key lost after removal from its full home bucket");
-        assert_eq!(l.entry.value_addr, overflow);
-        // ...and removable, through the same preserved chain.
-        idx.remove(overflow).unwrap();
-        assert_eq!(idx.lookup(overflow), Err(IndexError::NotFound));
-    }
-
-    /// Tombstoned slots are reclaimed by later inserts instead of
-    /// leaking capacity: a table filled, emptied, and refilled accepts
-    /// the same number of keys.
-    #[test]
-    fn tombstones_are_reclaimed_by_inserts() {
-        let mut idx = HashIndex::new(2, 0);
-        let keys: Vec<u64> = (0..10_000u64)
-            .filter(|&k| idx.home_bucket(k) == 0)
-            .take(2 * SLOTS_PER_BUCKET)
-            .collect();
-        for &k in &keys {
-            idx.insert(k, k, 8).unwrap();
-        }
-        for &k in &keys {
-            idx.remove(k).unwrap();
-        }
-        assert!(idx.is_empty());
-        for &k in &keys {
-            idx.insert(k, k + 1, 8).unwrap();
-        }
-        for &k in &keys {
-            assert_eq!(idx.lookup(k).unwrap().entry.value_addr, k + 1);
-        }
-    }
-
-    /// Fuzz insert/remove/lookup round-trips against a `HashMap`
-    /// oracle: every present key is found with its latest value, every
-    /// absent key misses, and `len` tracks the oracle exactly.
+    /// Fuzz inserts, updates and lookups against a `HashMap` oracle:
+    /// every present key is found with its latest value, every absent
+    /// key misses, and `len` tracks the oracle exactly.
     #[test]
     fn index_matches_hashmap_oracle() {
         use simnet::prop::check;
@@ -473,8 +329,8 @@ mod tests {
                         Err(e) => panic!("unexpected insert error {e}"),
                     },
                     _ => {
-                        let got = idx.remove(key).ok().map(|e| e.value_addr);
-                        prop_assert_eq!(got, oracle.remove(&key));
+                        let got = idx.lookup(key).ok().map(|l| l.entry.value_addr);
+                        prop_assert_eq!(got, oracle.get(&key).copied());
                     }
                 }
                 prop_assert_eq!(idx.len(), oracle.len() as u64);
@@ -494,69 +350,91 @@ mod tests {
         });
     }
 
+    /// Exact probe counts against a naive linear-probing model: one
+    /// `Vec` of entries per bucket, filled in chain order. Every key's
+    /// `probes` sets a one-sided reader's READ chain and the KV
+    /// service's `kv_probe_trips`, so every hit must report the model's
+    /// count, every miss must miss, and every insert must succeed or
+    /// fail as the model's does, including on tables whose chains run
+    /// into the probe bound.
     #[test]
-    fn bucket_remove_keeps_live_entries_in_order() {
-        let mut b = Bucket::EMPTY;
-        for key in 1..=4 {
-            b.place(Entry {
-                key,
-                value_addr: key * 10,
-                value_len: 8,
-            });
-        }
-        assert_eq!(b.remove(1).key, 2);
-        let keys = |b: &Bucket| b.entries().iter().map(|e| e.key).collect::<Vec<_>>();
-        assert_eq!(keys(&b), [1, 3, 4]);
-        assert_eq!((b.occupancy(), b.has_room()), (4, true));
-        b.place(Entry {
-            key: 5,
-            value_addr: 50,
-            value_len: 8,
-        });
-        assert_eq!(keys(&b), [1, 3, 4, 5]);
-        assert_eq!((b.occupancy(), b.tombstones), (4, 0));
-        assert_eq!(b.remove(3).key, 5);
-        assert_eq!(keys(&b), [1, 3, 4]);
-    }
-
-    /// Removing a key and inserting it again puts it back in the bucket
-    /// it left (every bucket before it on its chain is still full), so
-    /// every lookup — the key's and its neighbours', hits with their
-    /// probe counts and misses — reads as before, however often it is
-    /// repeated and in whatever order the live entries now sit.
-    #[test]
-    fn remove_then_reinsert_keeps_lookups_and_probes() {
+    fn probes_match_linear_probing_model() {
         use simnet::prop::check;
         use simnet::prop_assert_eq;
 
-        check("remove_then_reinsert_keeps_lookups_and_probes", |g| {
-            let n_buckets = g.usize(1..64);
-            let mut idx = HashIndex::new(n_buckets, 0x4000);
-            let keys: Vec<u64> = (0..g.u64(1..5 * n_buckets as u64))
-                .map(|_| g.u64(0..1 << 20))
-                .filter(|&k| idx.insert(k, k ^ 0xabc, 8).is_ok())
-                .collect();
-            let probe_all = |idx: &HashIndex| -> Vec<Result<Lookup, IndexError>> {
-                (0..1 << 20)
-                    .step_by(997)
-                    .chain(keys.iter().copied())
-                    .map(|k| idx.lookup(k))
-                    .collect()
+        /// The model's lookup: `Ok((value_addr, probes))` or a miss.
+        fn model_lookup(model: &[Vec<Entry>], home: usize, key: u64) -> Result<(u64, u32), ()> {
+            for hop in 0..MAX_PROBES {
+                let bucket = &model[(home + hop) % model.len()];
+                if let Some(e) = bucket.iter().find(|e| e.key == key) {
+                    return Ok((e.value_addr, hop as u32 + 1));
+                }
+                if bucket.len() < SLOTS_PER_BUCKET {
+                    return Err(());
+                }
+            }
+            Err(())
+        }
+
+        let full_at_the_bound = std::cell::Cell::new(0u32);
+        check("probes_match_linear_probing_model", |g| {
+            // Up to 100 buckets, so a full table's chains can run past
+            // `MAX_PROBES` buckets.
+            let n_buckets = g.usize(1..101);
+            let mut idx = HashIndex::new(n_buckets, 0);
+            let mut model: Vec<Vec<Entry>> = vec![Vec::new(); n_buckets];
+            // Half the cases offer more keys than the table holds.
+            let n_keys = if g.bool() {
+                5 * n_buckets
+            } else {
+                g.usize(1..5 * n_buckets)
             };
-            let before = probe_all(&idx);
-            let len = idx.len();
-            for _ in 0..g.usize(1..32) {
-                let Some(&k) = keys.get(g.usize(0..keys.len().max(1))) else {
-                    break;
-                };
-                let e = idx.remove(k).expect("inserted keys are present");
-                idx.insert(k, e.value_addr, e.value_len)
-                    .expect("its old slot is free");
-                prop_assert_eq!(idx.len(), len);
-                prop_assert_eq!(probe_all(&idx), before, "after reinserting {k}");
+            let keys: Vec<u64> = (0..n_keys).map(|_| g.u64(0..1 << 20)).collect();
+            for (i, &key) in keys.iter().enumerate() {
+                let home = idx.home_bucket(key);
+                let value_addr = i as u64 * 64;
+                let mut want = Err(IndexError::Full);
+                for hop in 0..MAX_PROBES {
+                    let bucket = &mut model[(home + hop) % n_buckets];
+                    if let Some(e) = bucket.iter_mut().find(|e| e.key == key) {
+                        e.value_addr = value_addr;
+                        want = Ok(());
+                        break;
+                    }
+                    if bucket.len() < SLOTS_PER_BUCKET {
+                        bucket.push(Entry {
+                            key,
+                            value_addr,
+                            value_len: 8,
+                        });
+                        want = Ok(());
+                        break;
+                    }
+                }
+                if want.is_err() && n_buckets > MAX_PROBES {
+                    full_at_the_bound.set(full_at_the_bound.get() + 1);
+                }
+                prop_assert_eq!(idx.insert(key, value_addr, 8), want, "insert {key}");
+            }
+            let stored: usize = model.iter().map(Vec::len).sum();
+            prop_assert_eq!(idx.len(), stored as u64);
+            // Every inserted or rejected key, then a sweep of mostly
+            // absent ones.
+            let probed = keys.iter().copied().chain((0..1 << 20).step_by(997));
+            for key in probed {
+                let got = idx
+                    .lookup(key)
+                    .map(|l| (l.entry.value_addr, l.probes))
+                    .map_err(|_| ());
+                let want = model_lookup(&model, idx.home_bucket(key), key);
+                prop_assert_eq!(got, want, "lookup {key}");
             }
             Ok(())
         });
+        assert!(
+            full_at_the_bound.get() > 0,
+            "no insert ran into the probe bound"
+        );
     }
 
     #[test]

@@ -666,7 +666,7 @@ impl ServerMachine {
         // tag-limited fetch whose bandwidth is tags * MTU per (round trip
         // + reissue). The tag pool is one shared resource, so concurrent
         // oversized reads do not recover the lost bandwidth.
-        if cpl_tlps > self.nic.reorder_tlp_slots {
+        if bytes > self.nic.reorder_window_bytes(mtu) {
             let rtt = oneway * 2 + TAG_REISSUE;
             let tag_bw = Bandwidth::bytes_per_sec(
                 (self.nic.completion_tags * mtu) as f64 / rtt.as_secs_f64(),
@@ -680,21 +680,12 @@ impl ServerMachine {
         ready
     }
 
-    /// Path-3 forwarding-buffer threshold: payloads above it lose the
-    /// cut-through overlap between the two PCIe1 crossings (Figure 9).
-    ///
-    /// The buffer is capacity-limited in TLP slots; both legs touch the
-    /// SoC (128 B TLPs) and the buffer is shared by the inbound and
-    /// outbound legs, halving it. An S2H requester additionally keeps its
-    /// WQE/doorbell state in SoC memory, halving the usable window again
-    /// — which is why S2H collapses earlier than H2S (§3.3).
+    /// Path-3 forwarding-buffer threshold of a verb `requester` issued:
+    /// payloads above it lose the cut-through overlap between the two
+    /// PCIe1 crossings (Figure 9, [`SmartNicSpec::path3_threshold`]).
     pub fn path3_threshold(&self, requester: Endpoint) -> u64 {
         let s = self.smart.as_ref().expect("path 3 needs a SmartNIC");
-        let base = self.nic.reorder_tlp_slots * s.soc.pcie_mtu / 2;
-        match requester {
-            Endpoint::Host => base,
-            Endpoint::Soc => base / 2,
-        }
+        s.path3_threshold(requester == Endpoint::Soc)
     }
 
     /// Executes a path-3 data movement: read `bytes` from `src` memory,

@@ -148,18 +148,12 @@ impl PcieCounters {
 
     /// TLP throughput on one link over an elapsed window.
     pub fn tlp_rate(&self, link: LinkId, elapsed: Nanos) -> Rate {
-        if elapsed == Nanos::ZERO {
-            return Rate::per_sec(0.0);
-        }
-        Rate::per_sec(self.tlps(link) as f64 / elapsed.as_secs_f64())
+        Rate::over(self.tlps(link), elapsed)
     }
 
     /// TLP throughput across all links over an elapsed window.
     pub fn total_tlp_rate(&self, elapsed: Nanos) -> Rate {
-        if elapsed == Nanos::ZERO {
-            return Rate::per_sec(0.0);
-        }
-        Rate::per_sec(self.total_tlps() as f64 / elapsed.as_secs_f64())
+        Rate::over(self.total_tlps(), elapsed)
     }
 
     /// Snapshot used to compute deltas across a measurement window.

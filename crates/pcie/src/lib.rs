@@ -23,4 +23,4 @@ pub mod tlp;
 pub use counters::{LinkId, PcieCounters};
 pub use link::{PcieGen, PcieLinkSpec};
 pub use switch::SwitchSpec;
-pub use tlp::{completion_tlps, read_request_tlps, tlp_count, write_tlps, TlpBudget};
+pub use tlp::{completion_tlps, read_request_tlps, tlp_count, write_tlps};

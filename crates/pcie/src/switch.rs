@@ -28,11 +28,6 @@ impl SwitchSpec {
     pub fn with_latency(crossing_latency: Nanos) -> Self {
         SwitchSpec { crossing_latency }
     }
-
-    /// Latency of `crossings` traversals.
-    pub fn latency(&self, crossings: u32) -> Nanos {
-        self.crossing_latency * crossings as u64
-    }
 }
 
 #[cfg(test)]
@@ -44,12 +39,5 @@ mod tests {
         let s = SwitchSpec::bluefield2();
         let ns = s.crossing_latency.as_nanos();
         assert!((150..=200).contains(&ns), "{ns}");
-    }
-
-    #[test]
-    fn multiple_crossings_scale_linearly() {
-        let s = SwitchSpec::with_latency(Nanos::new(100));
-        assert_eq!(s.latency(0), Nanos::ZERO);
-        assert_eq!(s.latency(3), Nanos::new(300));
     }
 }

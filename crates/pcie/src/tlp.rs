@@ -56,54 +56,6 @@ pub const fn write_tlps(bytes: u64, mps: u64) -> u64 {
     tlp_count(bytes, mps)
 }
 
-/// The TLP cost of one DMA operation on one PCIe hop, split by direction.
-///
-/// `towards_endpoint` flows from the switch/NIC to the memory endpoint
-/// (write data, read requests); `from_endpoint` flows back (read
-/// completions, write acknowledgements are DLLP-level and not counted).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TlpBudget {
-    /// TLPs sent towards the memory endpoint.
-    pub towards_endpoint: u64,
-    /// TLPs returned from the memory endpoint.
-    pub from_endpoint: u64,
-}
-
-impl TlpBudget {
-    /// TLP budget for a DMA write of `bytes` at the endpoint's MPS.
-    ///
-    /// Writes are *posted*: data TLPs flow towards the endpoint and no
-    /// transaction-layer response returns (the paper's Figure 3).
-    pub const fn dma_write(bytes: u64, mps: u64) -> TlpBudget {
-        TlpBudget {
-            towards_endpoint: write_tlps(bytes, mps),
-            from_endpoint: 0,
-        }
-    }
-
-    /// TLP budget for a DMA read of `bytes`: request TLPs towards the
-    /// endpoint (segmented at MRRS), completions back (segmented at MPS).
-    pub const fn dma_read(bytes: u64, mps: u64, mrrs: u64) -> TlpBudget {
-        TlpBudget {
-            towards_endpoint: read_request_tlps(bytes, mrrs),
-            from_endpoint: completion_tlps(bytes, mps),
-        }
-    }
-
-    /// Total TLPs in both directions.
-    pub const fn total(self) -> u64 {
-        self.towards_endpoint + self.from_endpoint
-    }
-
-    /// Component-wise sum of two budgets.
-    pub const fn plus(self, other: TlpBudget) -> TlpBudget {
-        TlpBudget {
-            towards_endpoint: self.towards_endpoint + other.towards_endpoint,
-            from_endpoint: self.from_endpoint + other.from_endpoint,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,36 +82,24 @@ mod tests {
     }
 
     #[test]
-    fn write_budget_is_one_directional() {
-        let b = TlpBudget::dma_write(4096, 512);
-        assert_eq!(b.towards_endpoint, 8);
-        assert_eq!(b.from_endpoint, 0);
-        assert_eq!(b.total(), 8);
-    }
-
-    #[test]
-    fn read_budget_has_requests_and_completions() {
-        let b = TlpBudget::dma_read(4096, 512, 512);
-        assert_eq!(b.towards_endpoint, 8); // requests at MRRS=512
-        assert_eq!(b.from_endpoint, 8); // completions at MPS=512
-                                        // Large MRRS cuts request TLPs but not completions:
-        let b2 = TlpBudget::dma_read(4096, 512, 4096);
-        assert_eq!(b2.towards_endpoint, 1);
-        assert_eq!(b2.from_endpoint, 8);
-    }
-
-    #[test]
-    fn budget_plus() {
-        let a = TlpBudget::dma_write(512, 512);
-        let b = TlpBudget::dma_read(512, 512, 512);
-        let s = a.plus(b);
-        assert_eq!(s.towards_endpoint, 2);
-        assert_eq!(s.from_endpoint, 1);
+    fn writes_and_reads_count_their_tlps() {
+        // A write is posted: data TLPs at MPS and nothing back.
+        assert_eq!(write_tlps(4096, 512), 8);
+        // A read sends requests at MRRS and gets completions at MPS.
+        assert_eq!(read_request_tlps(4096, 512), 8);
+        assert_eq!(completion_tlps(4096, 512), 8);
+        // A large MRRS cuts request TLPs but not completions.
+        assert_eq!(read_request_tlps(4096, 4096), 1);
+        assert_eq!(completion_tlps(4096, 512), 8);
+        // Partial TLPs round up on each side.
+        assert_eq!(read_request_tlps(513, 512), 2);
+        assert_eq!(completion_tlps(129, 128), 2);
     }
 
     #[test]
     fn zero_bytes_zero_tlps() {
-        assert_eq!(TlpBudget::dma_write(0, 512).total(), 0);
-        assert_eq!(TlpBudget::dma_read(0, 512, 512).total(), 0);
+        assert_eq!(write_tlps(0, 512), 0);
+        assert_eq!(read_request_tlps(0, 512), 0);
+        assert_eq!(completion_tlps(0, 512), 0);
     }
 }

@@ -28,8 +28,8 @@ use std::collections::BinaryHeap;
 use crate::rng::SimRng;
 use crate::time::Nanos;
 
-/// A stochastic arrival process. All rates are arrivals per second of
-/// simulated time; all processes are sampled exclusively through
+/// A stochastic arrival process. Rates are arrivals per second of
+/// simulated time; the process is sampled exclusively through
 /// [`SimRng`] draws.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ArrivalProcess {
@@ -38,132 +38,20 @@ pub enum ArrivalProcess {
         /// Mean arrival rate [1/s].
         rate: f64,
     },
-    /// Two-state Markov-modulated Poisson process (bursty traffic): the
-    /// process alternates between a calm state emitting at `base_rate`
-    /// and a burst state emitting at `burst_rate`, with exponentially
-    /// distributed state dwell times.
-    Mmpp {
-        /// Arrival rate in the calm state [1/s].
-        base_rate: f64,
-        /// Arrival rate in the burst state [1/s].
-        burst_rate: f64,
-        /// Mean dwell time in the calm state.
-        mean_base: Nanos,
-        /// Mean dwell time in the burst state.
-        mean_burst: Nanos,
-    },
-    /// Time-varying Poisson following a periodic rate schedule (a
-    /// compressed diurnal curve): the instantaneous rate is `peak_rate`
-    /// scaled by the profile slot covering the current phase of
-    /// `period`. Sampled by thinning against the peak rate, which is
-    /// exact for piecewise-constant profiles.
-    Diurnal {
-        /// Peak arrival rate [1/s]; the profile multiplies this.
-        peak_rate: f64,
-        /// Schedule period.
-        period: Nanos,
-        /// Rate multipliers in `[0, 1]`, one per equal slice of the
-        /// period.
-        profile: Vec<f64>,
-    },
 }
 
 impl ArrivalProcess {
     /// Long-run mean arrival rate [1/s].
     pub fn mean_rate(&self) -> f64 {
-        match self {
-            ArrivalProcess::Poisson { rate } => *rate,
-            ArrivalProcess::Mmpp {
-                base_rate,
-                burst_rate,
-                mean_base,
-                mean_burst,
-            } => {
-                let b = mean_base.as_secs_f64();
-                let u = mean_burst.as_secs_f64();
-                (base_rate * b + burst_rate * u) / (b + u)
-            }
-            ArrivalProcess::Diurnal {
-                peak_rate, profile, ..
-            } => peak_rate * profile.iter().sum::<f64>() / profile.len() as f64,
-        }
+        let ArrivalProcess::Poisson { rate } = self;
+        *rate
     }
 
-    /// The same process with every rate scaled by `factor` — used to
-    /// split one offered-load dial evenly across client shards.
+    /// The same process with its rate scaled by `factor` — used to split
+    /// one offered-load dial evenly across client shards.
     pub fn scaled(&self, factor: f64) -> ArrivalProcess {
-        match self.clone() {
-            ArrivalProcess::Poisson { rate } => ArrivalProcess::Poisson {
-                rate: rate * factor,
-            },
-            ArrivalProcess::Mmpp {
-                base_rate,
-                burst_rate,
-                mean_base,
-                mean_burst,
-            } => ArrivalProcess::Mmpp {
-                base_rate: base_rate * factor,
-                burst_rate: burst_rate * factor,
-                mean_base,
-                mean_burst,
-            },
-            ArrivalProcess::Diurnal {
-                peak_rate,
-                period,
-                profile,
-            } => ArrivalProcess::Diurnal {
-                peak_rate: peak_rate * factor,
-                period,
-                profile,
-            },
-        }
-    }
-
-    /// Validates the parameters; called by [`ArrivalGen::new`].
-    fn validate(&self) {
-        match self {
-            ArrivalProcess::Poisson { rate } => {
-                assert!(rate.is_finite() && *rate > 0.0, "Poisson rate {rate} <= 0");
-            }
-            ArrivalProcess::Mmpp {
-                base_rate,
-                burst_rate,
-                mean_base,
-                mean_burst,
-            } => {
-                assert!(
-                    base_rate.is_finite() && *base_rate > 0.0,
-                    "MMPP base rate {base_rate} <= 0"
-                );
-                assert!(
-                    burst_rate.is_finite() && *burst_rate > 0.0,
-                    "MMPP burst rate {burst_rate} <= 0"
-                );
-                assert!(
-                    *mean_base > Nanos::ZERO && *mean_burst > Nanos::ZERO,
-                    "MMPP dwell means must be positive"
-                );
-            }
-            ArrivalProcess::Diurnal {
-                peak_rate,
-                period,
-                profile,
-            } => {
-                assert!(
-                    peak_rate.is_finite() && *peak_rate > 0.0,
-                    "diurnal peak rate {peak_rate} <= 0"
-                );
-                assert!(*period > Nanos::ZERO, "diurnal period must be positive");
-                assert!(!profile.is_empty(), "diurnal profile is empty");
-                assert!(
-                    profile.iter().all(|m| (0.0..=1.0).contains(m)),
-                    "diurnal profile multipliers must be in [0, 1]"
-                );
-                assert!(
-                    profile.iter().any(|m| *m > 0.0),
-                    "diurnal profile is all-zero (no arrivals would ever occur)"
-                );
-            }
+        ArrivalProcess::Poisson {
+            rate: self.mean_rate() * factor,
         }
     }
 }
@@ -187,10 +75,6 @@ pub struct ArrivalGen {
     users: u64,
     /// Last emitted arrival instant.
     now: Nanos,
-    /// MMPP only: currently in the burst state?
-    in_burst: bool,
-    /// MMPP only: when the current state's dwell ends.
-    state_until: Nanos,
 }
 
 /// Samples an exponential interval with mean `1/rate_per_sec` seconds.
@@ -200,37 +84,22 @@ fn exp_interval(rng: &mut SimRng, rate_per_sec: f64) -> Nanos {
     Nanos::from_nanos_f64(-(1.0 - u).ln() / rate_per_sec * 1e9)
 }
 
-/// Samples an exponential dwell with the given mean.
-fn exp_dwell(rng: &mut SimRng, mean: Nanos) -> Nanos {
-    let u = rng.uniform_f64();
-    Nanos::from_nanos_f64(-(1.0 - u).ln() * mean.as_nanos() as f64)
-}
-
 impl ArrivalGen {
     /// A generator for `process` aggregating `users` logical users,
     /// starting at t = 0 and drawing from `rng`.
     ///
     /// # Panics
     ///
-    /// Panics on non-positive rates, an empty or out-of-range diurnal
-    /// profile, or `users == 0`.
-    pub fn new(process: ArrivalProcess, users: u64, mut rng: SimRng) -> Self {
-        process.validate();
+    /// Panics on a rate that is not positive and finite, or `users == 0`.
+    pub fn new(process: ArrivalProcess, users: u64, rng: SimRng) -> Self {
+        let rate = process.mean_rate();
+        assert!(rate.is_finite() && rate > 0.0, "Poisson rate {rate} <= 0");
         assert!(users > 0, "at least one logical user is required");
-        let (in_burst, state_until) = match &process {
-            ArrivalProcess::Mmpp { mean_base, .. } => {
-                let dwell = exp_dwell(&mut rng, *mean_base);
-                (false, dwell)
-            }
-            _ => (false, Nanos::ZERO),
-        };
         ArrivalGen {
             process,
             rng,
             users,
             now: Nanos::ZERO,
-            in_burst,
-            state_until,
         }
     }
 
@@ -241,50 +110,9 @@ impl ArrivalGen {
 
     /// The next intended arrival (strictly non-decreasing in time).
     pub fn next_arrival(&mut self) -> Arrival {
-        let at = match self.process.clone() {
-            ArrivalProcess::Poisson { rate } => {
-                self.now += exp_interval(&mut self.rng, rate);
-                self.now
-            }
-            ArrivalProcess::Mmpp {
-                base_rate,
-                burst_rate,
-                mean_base,
-                mean_burst,
-            } => loop {
-                let rate = if self.in_burst { burst_rate } else { base_rate };
-                let dt = exp_interval(&mut self.rng, rate);
-                if self.now + dt <= self.state_until {
-                    self.now += dt;
-                    break self.now;
-                }
-                // The candidate falls past the state boundary: advance
-                // to the boundary and resample there. Exact for the
-                // memoryless exponential.
-                self.now = self.state_until;
-                self.in_burst = !self.in_burst;
-                let mean = if self.in_burst { mean_burst } else { mean_base };
-                self.state_until = self.now + exp_dwell(&mut self.rng, mean);
-            },
-            ArrivalProcess::Diurnal {
-                peak_rate,
-                period,
-                profile,
-            } => loop {
-                // Thinning: candidates at the peak rate, accepted with
-                // the profile multiplier of the slot they land in.
-                self.now += exp_interval(&mut self.rng, peak_rate);
-                let phase = self.now.as_nanos() % period.as_nanos();
-                let slot =
-                    ((phase as u128 * profile.len() as u128) / period.as_nanos() as u128) as usize;
-                let m = profile[slot.min(profile.len() - 1)];
-                if self.rng.uniform_f64() < m {
-                    break self.now;
-                }
-            },
-        };
+        self.now += exp_interval(&mut self.rng, self.process.mean_rate());
         Arrival {
-            at,
+            at: self.now,
             user: self.rng.uniform_u64(self.users),
         }
     }
@@ -320,10 +148,10 @@ pub enum Admission {
 /// is "waiting" while its granted service start lies in the future.
 /// `offer(now)` first retires pending ops whose service has started,
 /// then applies the drop policy to the remainder.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct AdmissionQueue {
     cap: usize,
-    policy: Option<DropPolicy>,
+    policy: DropPolicy,
     /// Service starts of admitted ops, min-heap so retirement pops in
     /// start order.
     pending: BinaryHeap<Reverse<u64>>,
@@ -345,7 +173,7 @@ impl AdmissionQueue {
         assert!(cap > 0, "admission queue capacity must be positive");
         AdmissionQueue {
             cap,
-            policy: Some(policy),
+            policy,
             pending: BinaryHeap::new(),
             tail_start: Nanos::ZERO,
             admitted: 0,
@@ -368,7 +196,7 @@ impl AdmissionQueue {
             self.dropped_tail += 1;
             return Admission::DropTail;
         }
-        if let Some(DropPolicy::DropDeadline(deadline)) = self.policy {
+        if let DropPolicy::DropDeadline(deadline) = self.policy {
             if !self.pending.is_empty() && self.tail_start.saturating_sub(now) > deadline {
                 self.dropped_deadline += 1;
                 return Admission::DropDeadline;
@@ -503,70 +331,12 @@ mod tests {
 
     #[test]
     fn generator_is_deterministic() {
-        let p = ArrivalProcess::Mmpp {
-            base_rate: 1.0e5,
-            burst_rate: 5.0e6,
-            mean_base: Nanos::from_micros(50),
-            mean_burst: Nanos::from_micros(10),
-        };
+        let p = ArrivalProcess::Poisson { rate: 2.0e6 };
         let mut a = ArrivalGen::new(p.clone(), 64, rng(9));
         let mut b = ArrivalGen::new(p, 64, rng(9));
         for _ in 0..5000 {
             assert_eq!(a.next_arrival(), b.next_arrival());
         }
-    }
-
-    #[test]
-    fn mmpp_mean_rate_between_states() {
-        let p = ArrivalProcess::Mmpp {
-            base_rate: 1.0e5,
-            burst_rate: 5.0e6,
-            mean_base: Nanos::from_micros(50),
-            mean_burst: Nanos::from_micros(50),
-        };
-        // Equal dwells: mean rate is the average of the two states.
-        let want = (1.0e5 + 5.0e6) / 2.0;
-        assert!((p.mean_rate() - want).abs() / want < 1e-9);
-        let mut g = ArrivalGen::new(p, 8, rng(3));
-        let n = 50_000;
-        let mut last = Nanos::ZERO;
-        for _ in 0..n {
-            last = g.next_arrival().at;
-        }
-        let empirical = n as f64 / last.as_secs_f64();
-        assert!(
-            (empirical - want).abs() / want < 0.15,
-            "empirical {empirical:.0}/s vs {want:.0}/s"
-        );
-    }
-
-    #[test]
-    fn diurnal_thins_against_profile() {
-        let period = Nanos::from_micros(100);
-        let p = ArrivalProcess::Diurnal {
-            peak_rate: 2.0e6,
-            period,
-            profile: vec![1.0, 0.0],
-        };
-        assert!((p.mean_rate() - 1.0e6).abs() < 1.0);
-        let mut g = ArrivalGen::new(p, 8, rng(4));
-        let mut last = Nanos::ZERO;
-        let n = 20_000;
-        for _ in 0..n {
-            let a = g.next_arrival();
-            // The second half of every period has multiplier 0.
-            let phase = a.at.as_nanos() % period.as_nanos();
-            assert!(
-                phase < period.as_nanos() / 2,
-                "arrival in a zero-rate slot (phase {phase})"
-            );
-            last = a.at;
-        }
-        let empirical = n as f64 / last.as_secs_f64();
-        assert!(
-            (empirical - 1.0e6).abs() / 1.0e6 < 0.1,
-            "empirical {empirical:.0}/s"
-        );
     }
 
     #[test]
@@ -581,20 +351,6 @@ mod tests {
     #[should_panic(expected = "rate")]
     fn zero_rate_rejected() {
         let _ = ArrivalGen::new(ArrivalProcess::Poisson { rate: 0.0 }, 1, rng(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "all-zero")]
-    fn all_zero_profile_rejected() {
-        let _ = ArrivalGen::new(
-            ArrivalProcess::Diurnal {
-                peak_rate: 1.0e6,
-                period: Nanos::from_micros(10),
-                profile: vec![0.0, 0.0],
-            },
-            1,
-            rng(1),
-        );
     }
 
     #[test]

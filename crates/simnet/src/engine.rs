@@ -491,37 +491,23 @@ impl<E> Engine<E> {
         min
     }
 
-    /// Drains all events, calling `handler` on each, until the queue is
-    /// empty or `handler` returns [`Step::Halt`].
+    /// Delivers every event due at or before `deadline`, calling
+    /// `handler` on each, and stops (without delivering) once the next
+    /// event would fire after it.
     ///
     /// The handler receives the engine itself so it can schedule follow-up
     /// events; this is the main driving loop of every simulation in this
     /// workspace.
-    pub fn run<F>(&mut self, mut handler: F)
-    where
-        F: FnMut(&mut Engine<E>, Nanos, E) -> Step,
-    {
-        while let Some((t, ev)) = self.pop() {
-            if handler(self, t, ev) == Step::Halt {
-                break;
-            }
-        }
-    }
-
-    /// Like [`Engine::run`] but stops (without delivering) once the next
-    /// event would fire after `deadline`.
     pub fn run_until<F>(&mut self, deadline: Nanos, mut handler: F)
     where
-        F: FnMut(&mut Engine<E>, Nanos, E) -> Step,
+        F: FnMut(&mut Engine<E>, Nanos, E),
     {
         while let Some(t) = self.peek_time() {
             if t > deadline {
                 break;
             }
             let (t, ev) = self.pop().expect("peeked event vanished");
-            if handler(self, t, ev) == Step::Halt {
-                break;
-            }
+            handler(self, t, ev);
         }
     }
 }
@@ -610,44 +596,6 @@ impl<E> BaselineEngine<E> {
     pub fn peek_time(&self) -> Option<Nanos> {
         self.heap.peek().map(|s| s.at)
     }
-
-    /// Drains all events through `handler` until empty or [`Step::Halt`].
-    pub fn run<F>(&mut self, mut handler: F)
-    where
-        F: FnMut(&mut BaselineEngine<E>, Nanos, E) -> Step,
-    {
-        while let Some((t, ev)) = self.pop() {
-            if handler(self, t, ev) == Step::Halt {
-                break;
-            }
-        }
-    }
-
-    /// Like [`BaselineEngine::run`] but stops once the next event would
-    /// fire after `deadline`.
-    pub fn run_until<F>(&mut self, deadline: Nanos, mut handler: F)
-    where
-        F: FnMut(&mut BaselineEngine<E>, Nanos, E) -> Step,
-    {
-        while let Some(t) = self.peek_time() {
-            if t > deadline {
-                break;
-            }
-            let (t, ev) = self.pop().expect("peeked event vanished");
-            if handler(self, t, ev) == Step::Halt {
-                break;
-            }
-        }
-    }
-}
-
-/// Control-flow result of an event handler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Step {
-    /// Keep delivering events.
-    Continue,
-    /// Stop the run loop immediately.
-    Halt,
 }
 
 #[cfg(test)]
@@ -782,39 +730,19 @@ mod tests {
     }
 
     #[test]
-    fn run_drains_and_reschedules() {
+    fn pop_loop_drains_and_reschedules() {
         let mut eng: Engine<u32> = Engine::new();
         eng.schedule(Nanos::new(1), 0).unwrap();
         let mut seen = Vec::new();
-        eng.run(|eng, t, ev| {
+        while let Some((t, ev)) = eng.pop() {
             seen.push(ev);
             if ev < 4 {
                 eng.schedule(t + Nanos::new(1), ev + 1).unwrap();
             }
-            Step::Continue
-        });
+        }
         assert_eq!(seen, vec![0, 1, 2, 3, 4]);
         assert_eq!(eng.now(), Nanos::new(5));
         assert_eq!(eng.delivered(), 5);
-    }
-
-    #[test]
-    fn run_halt_stops_early() {
-        let mut eng: Engine<u32> = Engine::new();
-        for i in 0..10 {
-            eng.schedule(Nanos::new(i as u64), i).unwrap();
-        }
-        let mut count = 0;
-        eng.run(|_, _, _| {
-            count += 1;
-            if count == 3 {
-                Step::Halt
-            } else {
-                Step::Continue
-            }
-        });
-        assert_eq!(count, 3);
-        assert_eq!(eng.pending(), 7);
     }
 
     #[test]
@@ -824,10 +752,7 @@ mod tests {
             eng.schedule(Nanos::new(i * 10), i as u32).unwrap();
         }
         let mut seen = Vec::new();
-        eng.run_until(Nanos::new(35), |_, _, ev| {
-            seen.push(ev);
-            Step::Continue
-        });
+        eng.run_until(Nanos::new(35), |_, _, ev| seen.push(ev));
         assert_eq!(seen, vec![1, 2, 3]);
         // The 40 ns event remains queued.
         assert_eq!(eng.peek_time(), Some(Nanos::new(40)));
@@ -842,7 +767,7 @@ mod tests {
         fill(&mut eng, Nanos::new(20_000));
         eng.schedule(Nanos::new(10_000), 1).unwrap();
         assert!(eng.spilled);
-        eng.run_until(Nanos::new(500), |_, _, _| Step::Continue);
+        eng.run_until(Nanos::new(500), |_, _, _| {});
         assert_eq!(eng.peek_time(), Some(Nanos::new(10_000)));
         // Arrives between the deadline and the pending event.
         eng.schedule(Nanos::new(600), 0).unwrap();
@@ -877,7 +802,6 @@ mod tests {
                 eng.schedule(now, 3).unwrap();
                 eng.schedule(now, 4).unwrap();
             }
-            Step::Continue
         });
         assert_eq!(seen, vec![1, 2, 3, 4]);
     }

@@ -36,11 +36,11 @@ pub mod trace;
 pub use arrivals::{
     Admission, AdmissionQueue, Arrival, ArrivalGen, ArrivalProcess, DropPolicy, OpenLoopSpec,
 };
-pub use engine::{BaselineEngine, Engine, ScheduleError, Step};
+pub use engine::{BaselineEngine, Engine, ScheduleError};
 pub use faults::{fault_key, DegradedWindow, FaultPlane, FaultSpec};
 pub use metrics::{CounterId, HistogramId, Hop, HopBreakdown, Registry, SpanSet};
 pub use resource::{Dir, DuplexPipe, MultiServer, Pipe, Reservation, Server};
 pub use rng::SimRng;
-pub use stats::{Histogram, LatencySummary, RateMeter};
+pub use stats::{Histogram, LatencySummary};
 pub use time::{Bandwidth, Nanos, Rate};
 pub use trace::{TraceCat, TraceEvent, TraceRing};

@@ -1,10 +1,10 @@
-//! Measurement collection: histograms, rate meters and summaries.
+//! Measurement collection: histograms and summaries.
 //!
 //! Latency samples are recorded into a log-bucketed histogram (HdrHistogram
 //! style, base-2 with linear sub-buckets) so that million-sample runs stay
 //! O(1) per sample; percentiles are then interpolated within buckets.
 
-use crate::time::{Bandwidth, Nanos, Rate};
+use crate::time::Nanos;
 
 /// Number of linear sub-buckets per power of two. 32 gives ~3% worst-case
 /// relative error on percentiles, plenty for figure-shape comparisons.
@@ -228,77 +228,6 @@ impl core::fmt::Display for LatencySummary {
     }
 }
 
-/// Counts completed operations and moved bytes over a measured interval to
-/// derive throughput.
-#[derive(Debug, Clone, Default)]
-pub struct RateMeter {
-    ops: u64,
-    bytes: u64,
-    window_start: Nanos,
-    window_end: Nanos,
-    started: bool,
-}
-
-impl RateMeter {
-    /// Creates an idle meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one completed operation of `bytes` payload at time `now`.
-    pub fn record(&mut self, now: Nanos, bytes: u64) {
-        if !self.started {
-            self.window_start = now;
-            self.started = true;
-        }
-        self.window_end = self.window_end.max(now);
-        self.ops += 1;
-        self.bytes += bytes;
-    }
-
-    /// Explicitly opens the measurement window at `now` (e.g. after warmup).
-    pub fn open_window(&mut self, now: Nanos) {
-        self.window_start = now;
-        self.window_end = now;
-        self.started = true;
-        self.ops = 0;
-        self.bytes = 0;
-    }
-
-    /// Operations recorded.
-    pub fn ops(&self) -> u64 {
-        self.ops
-    }
-
-    /// Bytes recorded.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// The measurement window duration.
-    pub fn elapsed(&self) -> Nanos {
-        self.window_end.saturating_sub(self.window_start)
-    }
-
-    /// Operation throughput over the window.
-    pub fn ops_rate(&self) -> Rate {
-        let dt = self.elapsed().as_secs_f64();
-        if dt <= 0.0 {
-            return Rate::per_sec(0.0);
-        }
-        Rate::per_sec(self.ops as f64 / dt)
-    }
-
-    /// Byte throughput (goodput) over the window.
-    pub fn goodput(&self) -> Bandwidth {
-        let dt = self.elapsed().as_secs_f64();
-        if dt <= 0.0 {
-            return Bandwidth::ZERO;
-        }
-        Bandwidth::bytes_per_sec(self.bytes as f64 / dt)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -429,40 +358,6 @@ mod tests {
         h.record(Nanos::new(u64::MAX / 2));
         assert_eq!(h.count(), 1);
         assert!(h.percentile(50.0).as_nanos() > 0);
-    }
-
-    #[test]
-    fn rate_meter_throughput() {
-        let mut m = RateMeter::new();
-        m.open_window(Nanos::ZERO);
-        for i in 1..=1000u64 {
-            m.record(Nanos::new(i * 1000), 4096); // one op per us
-        }
-        let r = m.ops_rate();
-        assert!((r.as_mops() - 1.0).abs() < 0.01, "{r}");
-        let g = m.goodput();
-        assert!(
-            (g.as_bytes_per_sec() - 4.096e9).abs() / 4.096e9 < 0.01,
-            "{g}"
-        );
-    }
-
-    #[test]
-    fn rate_meter_window_reopen_resets() {
-        let mut m = RateMeter::new();
-        m.record(Nanos::new(10), 100);
-        m.open_window(Nanos::new(1000));
-        assert_eq!(m.ops(), 0);
-        assert_eq!(m.bytes(), 0);
-        m.record(Nanos::new(2000), 100);
-        assert_eq!(m.elapsed(), Nanos::new(1000));
-    }
-
-    #[test]
-    fn rate_meter_empty_is_zero() {
-        let m = RateMeter::new();
-        assert_eq!(m.ops_rate().as_per_sec(), 0.0);
-        assert!(m.goodput().is_zero());
     }
 
     #[test]

@@ -246,6 +246,12 @@ impl Bandwidth {
         Bandwidth { bytes_per_sec: b }
     }
 
+    /// `bytes` moved over `window`: zero over an empty window, like
+    /// [`Rate::over`].
+    pub fn over(bytes: u64, window: Nanos) -> Self {
+        Bandwidth::bytes_per_sec(Rate::over(bytes, window).as_per_sec())
+    }
+
     /// Creates a bandwidth from gigabits per second (10^9 bits).
     #[inline]
     pub fn gbps(g: f64) -> Self {
@@ -345,6 +351,15 @@ impl Rate {
     #[inline]
     pub const fn per_sec(r: f64) -> Self {
         Rate { per_sec: r }
+    }
+
+    /// `count` items over `window`: zero over an empty window, whose
+    /// quotient would be NaN.
+    pub fn over(count: u64, window: Nanos) -> Self {
+        if window == Nanos::ZERO {
+            return Rate::per_sec(0.0);
+        }
+        Rate::per_sec(count as f64 / window.as_secs_f64())
     }
 
     /// Creates a rate from millions of items per second.

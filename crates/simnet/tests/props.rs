@@ -1,7 +1,7 @@
 //! Property-based tests of the simulation-engine invariants (in-tree
 //! `simnet::prop` harness; failures print a reproducing `PROP_SEED`).
 
-use simnet::engine::{BaselineEngine, Engine, Step};
+use simnet::engine::{BaselineEngine, Engine};
 use simnet::prop::check;
 use simnet::resource::{Dir, DuplexPipe, Pipe};
 use simnet::rng::SimRng;
@@ -39,11 +39,10 @@ fn engine_fifo_at_same_instant() {
             eng.schedule(Nanos::new(t), i).unwrap();
         }
         let mut expect = 0;
-        eng.run(|_, _, ev| {
-            assert_eq!(ev, expect);
+        while let Some((_, ev)) = eng.pop() {
+            prop_assert_eq!(ev, expect);
             expect += 1;
-            Step::Continue
-        });
+        }
         prop_assert_eq!(expect, n);
         Ok(())
     });

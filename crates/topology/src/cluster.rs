@@ -81,10 +81,6 @@ impl ClusterSpec {
             wire: WireSpec::sb7890(),
         }
     }
-
-    /// Maximum requester machines the paper uses to saturate a responder
-    /// (§2.4: "up to eleven requester machines").
-    pub const MAX_REQUESTERS: usize = 11;
 }
 
 #[cfg(test)]

@@ -125,6 +125,13 @@ impl NicSpec {
     pub fn peak_request_rate_mops(&self) -> f64 {
         self.pu_total as f64 / self.pu_request_time.as_nanos() as f64 * 1e3
     }
+
+    /// The largest DMA read whose completions, at `mtu` bytes per TLP,
+    /// fit the reorder buffer. A larger read degrades to the tag-limited
+    /// fetch (the Figure 8 head-of-line collapse).
+    pub fn reorder_window_bytes(&self, mtu: u64) -> u64 {
+        self.reorder_tlp_slots * mtu
+    }
 }
 
 /// Specification of the SmartNIC's on-board SoC (the ARM complex).
@@ -328,6 +335,30 @@ impl SmartNicSpec {
     pub fn host_path_tax_oneway(&self) -> Nanos {
         self.switch.crossing_latency + self.pcie1_hop_latency
     }
+
+    /// The READ payload above which a READ of SoC memory head-of-line
+    /// blocks the NIC (Figure 8): the reorder window at the SoC's 128 B
+    /// MTU, 9 MiB on Bluefield-2.
+    pub fn read_collapse_threshold(&self) -> u64 {
+        self.nic.reorder_window_bytes(self.soc.pcie_mtu)
+    }
+
+    /// The path-3 payload above which a host<->SoC transfer loses the
+    /// cut-through overlap between its two PCIe1 crossings (Figure 9).
+    ///
+    /// Both legs touch the SoC (128 B TLPs) and share the forwarding
+    /// buffer, halving the reorder window. A SoC requester
+    /// (`soc_requester`, the S2H direction) also keeps its WQE and
+    /// doorbell state in SoC memory, halving it again, which is why S2H
+    /// collapses earlier than H2S (§3.3).
+    pub fn path3_threshold(&self, soc_requester: bool) -> u64 {
+        let base = self.read_collapse_threshold() / 2;
+        if soc_requester {
+            base / 2
+        } else {
+            base
+        }
+    }
 }
 
 #[cfg(test)]
@@ -360,8 +391,9 @@ mod tests {
     fn soc_reorder_threshold_is_9mb() {
         // Figure 8: READ to SoC collapses above ~9 MB payloads.
         let s = SmartNicSpec::bluefield2();
-        let threshold = s.nic.reorder_tlp_slots * s.soc.pcie_mtu;
-        assert_eq!(threshold, 9 << 20);
+        assert_eq!(s.read_collapse_threshold(), 9 << 20);
+        assert_eq!(s.path3_threshold(false), (9 << 20) / 2);
+        assert_eq!(s.path3_threshold(true), (9 << 20) / 4);
     }
 
     #[test]
@@ -369,8 +401,7 @@ mod tests {
         // §5 / Chen et al.: CX-7 doubles the reorder window, so the
         // Figure-8 collapse knee moves to 144Ki slots x 128 B = 18 MB.
         let s = SmartNicSpec::bluefield3();
-        let threshold = s.nic.reorder_tlp_slots * s.soc.pcie_mtu;
-        assert_eq!(threshold, 18 << 20);
+        assert_eq!(s.read_collapse_threshold(), 18 << 20);
     }
 
     #[test]
@@ -417,8 +448,7 @@ mod tests {
         // The host (512 B MTU) threshold lies beyond the paper's 16 MB
         // sweep, which is why SNIC(1) shows no collapse.
         let s = SmartNicSpec::bluefield2();
-        let threshold = s.nic.reorder_tlp_slots * s.pcie0.mps;
-        assert!(threshold > 16 << 20);
+        assert!(s.nic.reorder_window_bytes(s.pcie0.mps) > 16 << 20);
     }
 
     #[test]

@@ -110,7 +110,7 @@ fn main() {
     // The takeaway's constants are *derived from the live spec*, so a
     // recalibration of the BF-3 topology can never desync the prose.
     let path3_budget = BottleneckModel::from_spec(snic).path3_budget().as_gbps();
-    let read_knee = snic.nic.reorder_tlp_slots * snic.soc.pcie_mtu;
+    let read_knee = snic.read_collapse_threshold();
     println!(
         "Takeaway: Bluefield-3 keeps the off-path architecture, so every\n\
          guideline survives with new constants — budget path 3 to ~{:.0}\n\

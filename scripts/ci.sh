@@ -87,14 +87,15 @@ fi
 # threshold property drives the engine's sorted deque and timing wheel
 # against the heap oracle while the queue spills and returns; the other
 # oracles pin the fast paths of `Nanos::from_nanos_f64`, `MultiServer`,
-# the `Pipe` service memo, the `Zipf` guide table and the `HashIndex`
-# buckets to the code they replaced. Run the seven by name and refuse a
-# run where the filters matched anything else.
+# the `Pipe` service memo and the `Zipf` guide table to the code they
+# replaced, and the `HashIndex` to a naive linear-probing model (exact
+# probe counts) and a `HashMap` (contents). Run the seven by name and
+# refuse a run where the filters matched anything else.
 prim_out=$(cargo test --release --offline -p simnet -p snic-kvstore --lib -- \
     engine_matches_baseline_across_the_deque_threshold from_nanos_f64_matches_round \
     multiserver_matches_heap_model pipe_memo_matches_uncached_service \
-    zipf_guide_matches_the_searches remove_then_reinsert_keeps_lookups_and_probes \
-    bucket_remove_keeps_live_entries_in_order 2>&1) || {
+    zipf_guide_matches_the_searches probes_match_linear_probing_model \
+    index_matches_hashmap_oracle 2>&1) || {
     echo "$prim_out"
     echo "ci.sh: scheduler and primitive oracle tests FAILED" >&2
     exit 1
@@ -104,8 +105,8 @@ if ! grep -q "ok. 5 passed" <<<"$prim_out" || ! grep -q "ok. 2 passed" <<<"$prim
     echo "ci.sh: expected exactly five simnet tests (engine_matches_baseline_across_the_deque_threshold," \
         "from_nanos_f64_matches_round, multiserver_matches_heap_model," \
         "pipe_memo_matches_uncached_service, zipf_guide_matches_the_searches) and two" \
-        "snic-kvstore tests (remove_then_reinsert_keeps_lookups_and_probes," \
-        "bucket_remove_keeps_live_entries_in_order) (filtered out or renamed?)" >&2
+        "snic-kvstore tests (probes_match_linear_probing_model," \
+        "index_matches_hashmap_oracle) (filtered out or renamed?)" >&2
     exit 1
 fi
 
@@ -157,4 +158,4 @@ for workload in rack_verbs rack_services harness_sweep; do
     fi
 done
 
-echo "ci.sh: build + tests + fmt + clippy (workspace and snicbench) + rustdoc + cluster determinism + golden digests + LLC oracle and width tests (lockstep_matches_per_line_oracle, repeated_receive_buffer_write_on_xeon, narrow_tags_widen_in_place, tag_storage_is_allocated_per_touched_chunk) + scheduler and primitive oracles (engine_matches_baseline_across_the_deque_threshold, from_nanos_f64_matches_round, multiserver_matches_heap_model, pipe_memo_matches_uncached_service, zipf_guide_matches_the_searches, remove_then_reinsert_keeps_lookups_and_probes, bucket_remove_keeps_live_entries_in_order) + DMA-leg digest (dma_legs_match_recorded_digest) + quickstart example + Figure-1 table and KV examples + benchmark smoke all green (offline)"
+echo "ci.sh: build + tests + fmt + clippy (workspace and snicbench) + rustdoc + cluster determinism + golden digests + LLC oracle and width tests (lockstep_matches_per_line_oracle, repeated_receive_buffer_write_on_xeon, narrow_tags_widen_in_place, tag_storage_is_allocated_per_touched_chunk) + scheduler and primitive oracles (engine_matches_baseline_across_the_deque_threshold, from_nanos_f64_matches_round, multiserver_matches_heap_model, pipe_memo_matches_uncached_service, zipf_guide_matches_the_searches, probes_match_linear_probing_model, index_matches_hashmap_oracle) + DMA-leg digest (dma_legs_match_recorded_digest) + quickstart example + Figure-1 table and KV examples + benchmark smoke all green (offline)"

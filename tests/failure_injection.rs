@@ -1,6 +1,7 @@
 //! Failure injection: the KV index's error paths, and the harness's RC
 //! transport driven to retry exhaustion by wire loss.
 
+use offpath_smartnic::kvstore::index::SLOTS_PER_BUCKET;
 use offpath_smartnic::kvstore::{HashIndex, IndexError};
 use offpath_smartnic::nicsim::{PathKind, Verb};
 use offpath_smartnic::simnet::faults::FaultSpec;
@@ -10,24 +11,35 @@ use offpath_smartnic::study::harness::{
 
 #[test]
 fn index_exhaustion_is_clean() {
-    // Fill a tiny index to rejection, then verify reads still work and
-    // removal restores insertability.
-    let mut idx = HashIndex::new(4, 0).with_max_probes(4);
+    // Fill a tiny index to rejection, then verify reads still work, the
+    // rejected key misses and a stored key can still be updated.
+    let mut idx = HashIndex::new(4, 0);
     let mut inserted = Vec::new();
+    let mut rejected = None;
     for k in 0..100u64 {
         match idx.insert(k, k * 64, 64) {
             Ok(()) => inserted.push(k),
-            Err(IndexError::Full) => break,
+            Err(IndexError::Full) => {
+                rejected = Some(k);
+                break;
+            }
             Err(e) => panic!("unexpected {e}"),
         }
     }
-    assert!(inserted.len() >= 4, "tiny index took {}", inserted.len());
+    assert_eq!(
+        inserted.len(),
+        4 * SLOTS_PER_BUCKET,
+        "a full chain wraps the table"
+    );
     for &k in &inserted {
         idx.lookup(k).unwrap();
     }
+    let rejected = rejected.expect("a 4-bucket index fills within 100 keys");
+    assert_eq!(idx.lookup(rejected), Err(IndexError::NotFound));
     let victim = inserted[0];
-    idx.remove(victim).unwrap();
     assert!(idx.insert(victim, 1, 1).is_ok());
+    assert_eq!(idx.lookup(victim).unwrap().entry.value_addr, 1);
+    assert_eq!(idx.len(), inserted.len() as u64);
 }
 
 #[test]

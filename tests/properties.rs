@@ -2,7 +2,7 @@
 //! `simnet::prop` harness; failures print a reproducing `PROP_SEED`).
 
 use offpath_smartnic::nicsim::{Fabric, PathKind, RequestDesc, Verb};
-use offpath_smartnic::pcie::tlp::{tlp_count, TlpBudget};
+use offpath_smartnic::pcie::tlp::{completion_tlps, read_request_tlps, tlp_count, write_tlps};
 use offpath_smartnic::simnet::prop::check;
 use offpath_smartnic::simnet::resource::{MultiServer, Server};
 use offpath_smartnic::simnet::stats::Histogram;
@@ -70,15 +70,16 @@ fn tlp_count_superadditive() {
     });
 }
 
-/// A DMA read budget always has as many completions as a write of
-/// the same size has data TLPs.
+/// A DMA read returns as many completions as a write of the same size
+/// at the same MPS sends data TLPs, and at MRRS = MPS it sends as many
+/// requests.
 #[test]
 fn read_write_budget_symmetry() {
     check("read_write_budget_symmetry", |g| {
         let bytes = g.u64(0..(1 << 24));
-        let w = TlpBudget::dma_write(bytes, 512);
-        let r = TlpBudget::dma_read(bytes, 512, 512);
-        prop_assert_eq!(w.towards_endpoint, r.from_endpoint);
+        let mps = 1u64 << g.u32(7..13);
+        prop_assert_eq!(write_tlps(bytes, mps), completion_tlps(bytes, mps));
+        prop_assert_eq!(read_request_tlps(bytes, mps), completion_tlps(bytes, mps));
         Ok(())
     });
 }

@@ -21,10 +21,14 @@
 //!   a 16-bit word while every stored tag fits; the first access to a
 //!   tag of `u16::MAX` or more (an address above about 112 GB on the
 //!   Xeon spec) widens the arena to 64-bit words once, keeping every way;
-//! * an access walks its lines once and moves tags in place (a hit on the
-//!   MRU tag moves nothing), then reserves each slice once for all of its
-//!   lines with [`Server::reserve_run`], which leaves the slice exactly
-//!   as one reservation per line would;
+//! * an access of fewer than two lines per set walks its lines once and
+//!   moves tags in place (a hit on the MRU tag moves nothing); a longer
+//!   one gives each set a run of consecutive tags and rewrites each set
+//!   once, from its ways and its run, as LRU's stack order dictates, so a
+//!   16 MiB DDIO write costs what the cache holds, not what it moves;
+//!   either way it then reserves each slice once for all of its lines
+//!   with [`Server::reserve_run`], which leaves the slice exactly as one
+//!   reservation per line would;
 //! * an access to the same lines as the previous one, the requester's
 //!   reused receive buffer, skips the walk when no set took more than
 //!   `ways` of those lines: each is a hit, and touching them again leaves
@@ -50,6 +54,10 @@ trait Word: Copy + Eq {
 
     /// `tag` at this width; only meaningful when it [`fits`](Word::fits).
     fn of(tag: u64) -> Self;
+
+    /// The stored tag; [`Word::EMPTY`] reads as the width's largest
+    /// value, above every tag that fits.
+    fn tag(self) -> u64;
 }
 
 impl Word for u16 {
@@ -61,6 +69,10 @@ impl Word for u16 {
 
     fn of(tag: u64) -> u16 {
         tag as u16
+    }
+
+    fn tag(self) -> u64 {
+        u64::from(self)
     }
 }
 
@@ -74,6 +86,10 @@ impl Word for u64 {
 
     fn of(tag: u64) -> u64 {
         tag
+    }
+
+    fn tag(self) -> u64 {
+        self
     }
 }
 
@@ -314,9 +330,22 @@ fn holds<T: Word>(set: &[T], tag: u64) -> bool {
     T::fits(tag) && set.contains(&T::of(tag))
 }
 
+/// Index in the arena of `set`'s first way, allocating its chunk on first
+/// touch.
+fn touch_set<T: Word>(tags: &mut Vec<T>, chunks: &mut [u32], ways: usize, set: usize) -> usize {
+    let chunk = set / CHUNK_SETS;
+    if chunks[chunk] == 0 {
+        tags.resize(tags.len() + CHUNK_SETS * ways, T::EMPTY);
+        chunks[chunk] = (tags.len() / (CHUNK_SETS * ways)) as u32;
+    }
+    set_start(chunks[chunk], set, ways)
+}
+
 /// Looks up and LRU-updates `lines` consecutive lines, the first in set
 /// `set` of `sets` with tag `tag`, allocating chunks on first touch;
-/// returns the hits. Every tag walked must fit the width.
+/// returns the hits. Every tag walked must fit the width. An access of at
+/// least two lines per set goes set by set ([`walk_runs`]), a shorter one
+/// line by line.
 fn walk<T: Word>(
     tags: &mut Vec<T>,
     chunks: &mut [u32],
@@ -326,14 +355,12 @@ fn walk<T: Word>(
     mut tag: u64,
     lines: u64,
 ) -> u64 {
+    if lines >= 2 * sets as u64 {
+        return walk_runs(tags, chunks, ways, sets, set, tag, lines);
+    }
     let mut hits = 0;
     for _ in 0..lines {
-        let chunk = set / CHUNK_SETS;
-        if chunks[chunk] == 0 {
-            tags.resize(tags.len() + CHUNK_SETS * ways, T::EMPTY);
-            chunks[chunk] = (tags.len() / (CHUNK_SETS * ways)) as u32;
-        }
-        let start = set_start(chunks[chunk], set, ways);
+        let start = touch_set(tags, chunks, ways, set);
         // Put the line in the MRU way and push the tags below it down
         // one way, down to the way that held the line (a hit) or past
         // way 0, evicting its LRU tag or empty way (a miss). A hit on
@@ -352,6 +379,97 @@ fn walk<T: Word>(
             set = 0;
             tag += 1;
         }
+    }
+    hits
+}
+
+/// [`walk`] for an access of at least `sets` lines, applied set by set:
+/// the `i`-th set from `set` (with the line walk's wrap, so chunks are
+/// allocated in the same order) takes the `lines / sets` tags from its
+/// first line's tag on, one more in the first `lines % sets` sets.
+fn walk_runs<T: Word>(
+    tags: &mut Vec<T>,
+    chunks: &mut [u32],
+    ways: usize,
+    sets: usize,
+    mut set: usize,
+    mut tag: u64,
+    lines: u64,
+) -> u64 {
+    let (per, extra) = (lines / sets as u64, (lines % sets as u64) as usize);
+    let mut hits = 0;
+    for i in 0..sets {
+        let start = touch_set(tags, chunks, ways, set);
+        let run = per + u64::from(i < extra);
+        hits += apply_run(&mut tags[start..start + ways], tag, run);
+        set += 1;
+        if set == sets {
+            set = 0;
+            tag += 1;
+        }
+    }
+    hits
+}
+
+/// Touches the tags `t..t + k` of one set's ways in ascending order, as
+/// `k` steps of [`walk`]'s carry loop would; returns the hits. The last
+/// tag must fit the width, so no tag of the run is the empty word.
+///
+/// LRU keeps the most recently used tags of any sequence, so the set ends
+/// as the last `ways` of its ways outside the run, in order, followed by
+/// the run. A way holding `v` of the run is a hit when `v` is reached iff
+/// the `v - t` run tags touched before it, plus the ways above it that
+/// they did not lift, are fewer than `ways`.
+fn apply_run<T: Word>(set: &mut [T], t: u64, k: u64) -> u64 {
+    let ways = set.len();
+    // A way's offset in the run, below `k` for a run tag; an empty way,
+    // the width's largest word, is above the run's last tag.
+    let offset = |w: T| w.tag().wrapping_sub(t);
+    let resident = set.iter().filter(|&&w| offset(w) < k).count();
+    let mut hits = 0;
+    if resident > 0 {
+        // A run tag at offset `ways` or more is evicted before it is
+        // reached.
+        let reach = k.min(ways as u64);
+        for (i, &w) in set.iter().enumerate() {
+            let v = offset(w);
+            if v < reach {
+                let v = v as usize;
+                // At most `ways - 1 - i` ways are above, so `v <= i` hits.
+                let lifted = || {
+                    set[i + 1..]
+                        .iter()
+                        .filter(|&&u| offset(u) < v as u64)
+                        .count()
+                };
+                hits += u64::from(v <= i || v - lifted() <= i);
+            }
+        }
+    }
+    if k >= ways as u64 {
+        for (w, tag) in set.iter_mut().zip(t + k - ways as u64..) {
+            *w = T::of(tag);
+        }
+        return hits;
+    }
+    let kept = ways - k as usize;
+    if resident == 0 {
+        set.copy_within(k as usize.., 0);
+    } else {
+        // The outside way at `i`, with `below` run tags under it, is
+        // outside way `i - below` from the bottom, of `ways - resident`;
+        // the top `kept` of them move down to end at way `kept - 1`.
+        let mut below = 0;
+        for i in 0..ways {
+            if offset(set[i]) < k {
+                below += 1;
+            } else if let Some(at) = (i + resident + kept).checked_sub(ways + below) {
+                set[at] = set[i];
+            }
+        }
+    }
+    for (w, tag) in set[kept..].iter_mut().zip(t..) {
+        *w = T::of(tag);
     }
     hits
 }
@@ -432,10 +550,11 @@ mod tests {
 
     /// A small random spec: at most 200 sets (up to four chunks, the
     /// last one often partial, and half the time a set count at a chunk
-    /// edge), so long accesses wrap the set array many times, with a
-    /// slice count that need not divide the set count.
-    fn random_tiny_spec(g: &mut Gen) -> LlcSpec {
-        let ways = g.u32(1..9);
+    /// edge), so long accesses wrap the set array many times, with fewer
+    /// than `max_ways` ways and a slice count that need not divide the
+    /// set count.
+    fn random_tiny_spec(g: &mut Gen, max_ways: u32) -> LlcSpec {
+        let ways = g.u32(1..max_ways);
         let line = [32, 64, 128][g.usize(0..3)];
         let sets = if g.bool() {
             [1, 63, 64, 65, 128, 129][g.usize(0..6)]
@@ -475,6 +594,30 @@ mod tests {
 
     fn is_wide(llc: &LlcSim) -> bool {
         matches!(llc.tags, Tags::Wide(_))
+    }
+
+    /// The lines `set` holds, least recently used first, as the per-line
+    /// oracle lists them, read at whichever width the arena has.
+    fn set_lines(llc: &LlcSim, set: usize) -> Vec<u64> {
+        fn stored<T: Word>(ways: &[T]) -> Vec<u64> {
+            ways.iter()
+                .filter(|&&w| w != T::EMPTY)
+                .map(|&w| w.tag())
+                .collect()
+        }
+        let ways = llc.spec.ways as usize;
+        let start = match llc.chunks[set / CHUNK_SETS] {
+            0 => return Vec::new(),
+            id => set_start(id, set, ways),
+        };
+        let tags = match &llc.tags {
+            Tags::Narrow(t) => stored(&t[start..start + ways]),
+            Tags::Wide(t) => stored(&t[start..start + ways]),
+        };
+        let sets = llc.sets as u64;
+        tags.into_iter()
+            .map(|tag| tag * sets + set as u64)
+            .collect()
     }
 
     #[test]
@@ -673,31 +816,37 @@ mod tests {
     }
 
     /// Drives `LlcSim` and the per-line oracle with the same random
-    /// accesses, 1 B to 4 MiB at a rising `now`: raw accesses (DDIO
-    /// writes) and reads that access only when `probe` hits (the
-    /// `MemSystem::dma_access` rule), then probes across each touched
-    /// span and at the lines 65,536 tags on in the same sets. Some
-    /// accesses repeat the previous access's lines, from the same bytes
-    /// or another offset and length, and on tiny specs many of those
-    /// overflow their sets; others sit next to the 16-bit tag bound.
-    /// Finish times, counters, probe verdicts and slice state must
-    /// agree, and both narrow-only cases and widenings of an arena that
-    /// holds tags must occur.
+    /// accesses, 1 B to 4 MiB at a rising `now` (to 24 MiB in half of
+    /// the Xeon-spec cases, past the 3.27 MiB from which an access on
+    /// that spec goes set by set): raw accesses (DDIO writes) and reads
+    /// that access only when `probe` hits (the `MemSystem::dma_access`
+    /// rule), then probes across each touched span and at the lines
+    /// 65,536 tags on in the same sets. Some accesses repeat the previous
+    /// access's lines, from the same bytes or another offset and length,
+    /// and on tiny specs many of those overflow their sets; others sit
+    /// next to the 16-bit tag bound. Finish times, counters, probe
+    /// verdicts and slice state must agree, and narrow-only cases,
+    /// widenings of an arena that holds tags and Xeon-spec cases that go
+    /// set by set must all occur.
     #[test]
     fn lockstep_matches_per_line_oracle() {
         // Cases that ended narrow after probing a tag past the narrow
-        // bound, and cases that widened a narrow arena holding tags.
-        let seen = std::cell::Cell::new([0u32; 2]);
+        // bound, cases that widened a narrow arena holding tags, and
+        // Xeon-spec cases with an access that went set by set.
+        let seen = std::cell::Cell::new([0u32; 3]);
         let note = |i: usize| {
             let mut s = seen.get();
             s[i] += 1;
             seen.set(s);
         };
         check("llc_lockstep_matches_per_line_oracle", |g| {
-            let spec = if g.bool() {
-                LlcSpec::xeon_like()
+            let (spec, max_bytes) = if g.bool() {
+                (
+                    LlcSpec::xeon_like(),
+                    if g.bool() { 24 << 20 } else { 4 << 20 },
+                )
             } else {
-                random_tiny_spec(g)
+                (random_tiny_spec(g, 9), 4 << 20)
             };
             let mut fast = LlcSim::new(spec);
             let mut slow = PerLineLlc::new(spec);
@@ -707,13 +856,13 @@ mod tests {
             // 65,536 tags on in the same set: a 16-bit word cannot tell
             // the two lines apart.
             let alias = (1 << 16) * spec.sets() * spec.line;
-            let (mut probed_past_bound, mut widened) = (false, false);
+            let (mut probed_past_bound, mut widened, mut by_sets) = (false, false, false);
             for step in 0..g.usize(1..160) {
                 now += Nanos::new(g.u64(0..300));
                 let (addr, bytes) = match g.u64(0..10) {
-                    // Anywhere, 1 B to 4 MiB.
+                    // Anywhere, 1 B to `max_bytes`.
                     0 => {
-                        let bytes = size_up_to(g, 4 << 20);
+                        let bytes = size_up_to(g, max_bytes);
                         let addr = if g.bool() {
                             g.u64(0..2 * spec.capacity)
                         } else {
@@ -776,6 +925,8 @@ mod tests {
                 }
                 spans.push((addr, bytes));
                 let narrow_with_tags = !is_wide(&fast) && fast.misses() > 0;
+                let lines = (addr + (bytes - 1)) / spec.line - addr / spec.line + 1;
+                by_sets |= spec == LlcSpec::xeon_like() && lines >= 2 * spec.sets();
                 let done = fast.access(now, addr, bytes);
                 widened |= narrow_with_tags && is_wide(&fast);
                 prop_assert_eq!(done, slow.access(now, addr, bytes), "finish, step {step}");
@@ -798,6 +949,9 @@ mod tests {
             if widened {
                 note(1);
             }
+            if by_sets {
+                note(2);
+            }
             for (f, s) in fast.slices.iter().zip(&slow.slices) {
                 prop_assert_eq!(
                     (f.next_free(), f.busy_time(), f.served()),
@@ -806,10 +960,115 @@ mod tests {
             }
             Ok(())
         });
-        let [narrow, widened] = seen.get();
+        let [narrow, widened, by_sets] = seen.get();
         assert!(
-            narrow > 0 && widened > 0,
-            "{narrow} cases ended narrow after probing past the bound, {widened} widened with tags"
+            narrow > 0 && widened > 0 && by_sets > 0,
+            "{narrow} cases ended narrow after probing past the bound, {widened} widened with \
+             tags, {by_sets} Xeon-spec cases went set by set"
         );
+    }
+
+    /// One access of 2 x sets to 3 x ways x sets lines, which goes set by
+    /// set, against the per-line oracle, on the Xeon spec and on tiny
+    /// specs of 1 to 16 ways. Before it, ranges that overlap its lines
+    /// leave its tags resident in address order, single lines from a few
+    /// sets leave its tags and others at every LRU position, and some
+    /// sets stay empty; the arena may be widened first. The access ends
+    /// at a low tag, at tag 65,534 or past it. It must match the oracle's
+    /// finish time, hit and miss counts and every set's LRU contents, and
+    /// each kind of case below must occur.
+    #[test]
+    fn runs_match_per_line_oracle() {
+        const KINDS: [&str; 6] = [
+            "resident run tags that hit",
+            "resident run tags evicted before they are reached",
+            "sets that take at least `ways` tags",
+            "empty sets",
+            "a narrow run ending at tag 65,534",
+            "a run that widens the arena",
+        ];
+        let seen = std::cell::Cell::new([0u32; KINDS.len()]);
+        check("llc_runs_match_per_line_oracle", |g| {
+            let spec = if g.u64(0..4) == 0 {
+                LlcSpec::xeon_like()
+            } else {
+                random_tiny_spec(g, 17)
+            };
+            let (sets, ways) = (spec.sets(), u64::from(spec.ways));
+            let lines = g.u64(2 * sets..3 * ways * sets + 1);
+            let last = match g.u64(0..4) {
+                0 => 65_534 * sets + g.u64(0..sets),
+                1 => 65_535 * sets + g.u64(0..2 * sets),
+                _ => lines - 1 + g.u64(0..4 * sets),
+            };
+            let first = last + 1 - lines;
+            let mut fast = LlcSim::new(spec);
+            let mut slow = PerLineLlc::new(spec);
+            let mut now = Nanos::ZERO;
+            let mut step = |g: &mut Gen, fast: &mut LlcSim, slow: &mut PerLineLlc, line, n| {
+                now += Nanos::new(g.u64(0..300));
+                let (addr, bytes) = (line * spec.line, n * spec.line);
+                let done = fast.access(now, addr, bytes);
+                prop_assert_eq!(done, slow.access(now, addr, bytes), "finish, {n} lines");
+                prop_assert_eq!((fast.hits(), fast.misses()), (slow.hits, slow.misses));
+                Ok(())
+            };
+            // Ranges that end inside the access.
+            for _ in 0..g.usize(0..3) {
+                let from = (first + g.u64(0..lines)).saturating_sub(g.u64(0..ways * sets + 1));
+                let n = g.u64(1..2 * ways * sets + 1).min(last + 1 - from);
+                step(g, &mut fast, &mut slow, from, n)?;
+            }
+            // Single lines in a few sets, from two tags below the access's
+            // first to two above its last, all narrow.
+            let pool: Vec<u64> = (0..g.usize(1..9))
+                .map(|_| match g.u64(0..3) {
+                    0 => first % sets,
+                    1 => last % sets,
+                    _ => g.u64(0..sets),
+                })
+                .collect();
+            let tags = (first / sets).saturating_sub(2)..(last / sets + 3).min(65_535);
+            for _ in 0..g.usize(0..4 * ways as usize * pool.len() + 1) {
+                let line = g.u64(tags.clone()) * sets + pool[g.usize(0..pool.len())];
+                step(g, &mut fast, &mut slow, line, 1)?;
+            }
+            if g.u64(0..4) == 0 {
+                let line = (65_535 + g.u64(0..3)) * sets + pool[g.usize(0..pool.len())];
+                step(g, &mut fast, &mut slow, line, 1)?;
+            }
+
+            let resident: u64 = slow
+                .sets
+                .iter()
+                .map(|set| set.iter().filter(|&l| (first..=last).contains(l)).count() as u64)
+                .sum();
+            let empty = slow.sets.iter().any(Vec::is_empty);
+            let (hits, narrow) = (fast.hits(), !is_wide(&fast));
+            step(g, &mut fast, &mut slow, first, lines)?;
+            for (set, lines) in slow.sets.iter().enumerate() {
+                prop_assert_eq!(&set_lines(&fast, set), lines, "set {set}");
+            }
+
+            let hits = fast.hits() - hits;
+            let kinds = [
+                hits > 0,
+                hits < resident,
+                lines.div_ceil(sets) >= ways,
+                empty,
+                narrow && last / sets == 65_534,
+                narrow && is_wide(&fast),
+            ];
+            let mut s = seen.get();
+            for (count, kind) in s.iter_mut().zip(kinds) {
+                *count += u32::from(kind);
+            }
+            seen.set(s);
+            Ok(())
+        });
+        let counts = seen.get();
+        for (kind, count) in KINDS.iter().zip(counts) {
+            assert!(count > 0, "no case with {kind}: {counts:?}");
+        }
     }
 }

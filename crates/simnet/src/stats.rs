@@ -30,6 +30,8 @@ const EXPONENTS: usize = 48;
 /// ```
 #[derive(Clone)]
 pub struct Histogram {
+    /// Empty until the first sample: a histogram that never records
+    /// (most of a rack's per-stream ones) allocates nothing.
     buckets: Vec<u64>,
     count: u64,
     sum: u128,
@@ -57,10 +59,12 @@ impl core::fmt::Debug for Histogram {
 }
 
 impl Histogram {
-    /// Creates an empty histogram.
+    /// Creates an empty histogram. Its counters are allocated by the
+    /// first [`record`](Histogram::record), or the first
+    /// [`merge`](Histogram::merge) of a non-empty histogram.
     pub fn new() -> Self {
         Histogram {
-            buckets: vec![0; SUB_BUCKETS * EXPONENTS],
+            buckets: Vec::new(),
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -96,7 +100,7 @@ impl Histogram {
     /// Records one sample.
     pub fn record(&mut self, v: Nanos) {
         let v = v.as_nanos();
-        self.buckets[Self::bucket_index(v)] += 1;
+        self.counters()[Self::bucket_index(v)] += 1;
         self.count += 1;
         self.sum += v as u128;
         self.min = self.min.min(v);
@@ -173,13 +177,21 @@ impl Histogram {
         if other.count == 0 {
             return;
         }
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
+        for (a, b) in self.counters().iter_mut().zip(other.buckets.iter()) {
             *a += *b;
         }
         self.count += other.count;
         self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
+    }
+
+    /// The bucket counters, allocated on first use.
+    fn counters(&mut self) -> &mut [u64] {
+        if self.buckets.is_empty() {
+            self.buckets = vec![0; SUB_BUCKETS * EXPONENTS];
+        }
+        &mut self.buckets
     }
 
     /// A printable summary of this histogram.
@@ -344,6 +356,55 @@ mod tests {
         let text = format!("{:?}", Histogram::new());
         assert!(text.contains("count: 0"), "{text}");
         assert!(!text.contains(&u64::MAX.to_string()), "{text}");
+    }
+
+    #[test]
+    fn counters_are_allocated_by_the_first_sample() {
+        let empty = Histogram::new();
+        assert!(empty.buckets.is_empty());
+        let zero = Nanos::ZERO;
+        let summary = LatencySummary {
+            count: 0,
+            mean: zero,
+            p50: zero,
+            p90: zero,
+            p99: zero,
+            p999: zero,
+            min: zero,
+            max: zero,
+        };
+        assert_eq!(empty.summary(), summary);
+        assert_eq!(
+            format!("{empty:?}"),
+            "Histogram { count: 0, mean: 0ns, min: 0ns, max: 0ns, .. }"
+        );
+
+        let mut c = Histogram::new();
+        c.merge(&Histogram::new());
+        assert!(c.buckets.is_empty(), "merging empty into empty allocated");
+
+        // Record-then-merge, into an empty and into a populated side,
+        // equals recording directly.
+        let samples = [3, 31, 32, 1_000, 1_000, 65_537, 9_999_999, u64::MAX / 2];
+        let mut direct = Histogram::new();
+        let (mut low, mut high) = (Histogram::new(), Histogram::new());
+        for (i, &v) in samples.iter().enumerate() {
+            direct.record(Nanos::new(v));
+            if i % 2 == 0 { &mut low } else { &mut high }.record(Nanos::new(v));
+        }
+        let mut merged = Histogram::new();
+        merged.merge(&low);
+        merged.merge(&high);
+        low.merge(&high);
+        for h in [&merged, &low] {
+            assert_eq!(h.buckets, direct.buckets);
+            assert_eq!(
+                (h.count, h.sum, h.min, h.max),
+                (direct.count, direct.sum, direct.min, direct.max)
+            );
+            assert_eq!(h.summary(), direct.summary());
+            assert_eq!(format!("{h:?}"), format!("{direct:?}"));
+        }
     }
 
     #[test]

@@ -63,21 +63,25 @@ fi
 # with the same accesses, repeats of the previous access and tags at the
 # 16-bit words' bound included, and the Xeon-spec test replays the
 # requester's repeated receive-buffer write on both sides of the repeat
-# memo's residency condition. The width test pins the widening of the
-# arena to 64-bit words, and the storage test the lazy chunks and the
-# 16-bit arena of a fully touched Xeon LLC. Run the four by name and
-# refuse a run where the filters matched anything else.
+# memo's residency condition. The runs test drives the set-by-set path
+# of accesses of at least two lines per set against the oracle, set by
+# set. The width test pins the widening of the arena to 64-bit words,
+# and the storage test the lazy chunks and the 16-bit arena of a fully
+# touched Xeon LLC. Run the five by name and refuse a run where the
+# filters matched anything else.
 llc_out=$(cargo test --release --offline -p memsys --lib -- \
     lockstep_matches_per_line_oracle repeated_receive_buffer_write_on_xeon \
-    narrow_tags_widen_in_place tag_storage_is_allocated_per_touched_chunk 2>&1) || {
+    runs_match_per_line_oracle narrow_tags_widen_in_place \
+    tag_storage_is_allocated_per_touched_chunk 2>&1) || {
     echo "$llc_out"
     echo "ci.sh: LLC oracle tests FAILED" >&2
     exit 1
 }
-if ! grep -q "ok. 4 passed" <<<"$llc_out"; then
+if ! grep -q "ok. 5 passed" <<<"$llc_out"; then
     echo "$llc_out"
     echo "ci.sh: expected exactly llc::tests::lockstep_matches_per_line_oracle +" \
         "llc::tests::repeated_receive_buffer_write_on_xeon +" \
+        "llc::tests::runs_match_per_line_oracle +" \
         "llc::tests::narrow_tags_widen_in_place +" \
         "llc::tests::tag_storage_is_allocated_per_touched_chunk (filtered out or renamed?)" >&2
     exit 1
@@ -158,4 +162,4 @@ for workload in rack_verbs rack_services harness_sweep; do
     fi
 done
 
-echo "ci.sh: build + tests + fmt + clippy (workspace and snicbench) + rustdoc + cluster determinism + golden digests + LLC oracle and width tests (lockstep_matches_per_line_oracle, repeated_receive_buffer_write_on_xeon, narrow_tags_widen_in_place, tag_storage_is_allocated_per_touched_chunk) + scheduler and primitive oracles (engine_matches_baseline_across_the_deque_threshold, from_nanos_f64_matches_round, multiserver_matches_heap_model, pipe_memo_matches_uncached_service, zipf_guide_matches_the_searches, probes_match_linear_probing_model, index_matches_hashmap_oracle) + DMA-leg digest (dma_legs_match_recorded_digest) + quickstart example + Figure-1 table and KV examples + benchmark smoke all green (offline)"
+echo "ci.sh: build + tests + fmt + clippy (workspace and snicbench) + rustdoc + cluster determinism + golden digests + LLC oracle and width tests (lockstep_matches_per_line_oracle, repeated_receive_buffer_write_on_xeon, runs_match_per_line_oracle, narrow_tags_widen_in_place, tag_storage_is_allocated_per_touched_chunk) + scheduler and primitive oracles (engine_matches_baseline_across_the_deque_threshold, from_nanos_f64_matches_round, multiserver_matches_heap_model, pipe_memo_matches_uncached_service, zipf_guide_matches_the_searches, probes_match_linear_probing_model, index_matches_hashmap_oracle) + DMA-leg digest (dma_legs_match_recorded_digest) + quickstart example + Figure-1 table and KV examples + benchmark smoke all green (offline)"

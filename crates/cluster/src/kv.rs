@@ -288,10 +288,6 @@ pub(crate) struct KvServer {
     pub host_pool: MultiServer,
     /// SoC serving cores.
     pub soc_pool: MultiServer,
-    /// DPA plane of this server's SmartNIC, when it carries one. The
-    /// serving contention lives in the fabric's `ServerMachine`; this
-    /// copy feeds the advisor's capacity/fits signals.
-    pub dpa: Option<DpaSpec>,
     /// SoC DRAM bank free times (index lookups serialize per bank).
     pub bank_free: [Nanos; SOC_BANKS],
     /// Base service time per op on a host core (message handling plus
@@ -329,7 +325,6 @@ impl KvServer {
         n_servers: usize,
         host_svc: Nanos,
         soc_svc: Nanos,
-        dpa: Option<DpaSpec>,
     ) -> Self {
         let mut index = HashIndex::new(spec.index_buckets, KV_INDEX_BASE);
         let mut next_value = 0u64;
@@ -355,7 +350,6 @@ impl KvServer {
             policy,
             host_pool: MultiServer::new(KV_HOST_CORES),
             soc_pool: MultiServer::new(KV_SOC_CORES),
-            dpa,
             bank_free: [Nanos::ZERO; SOC_BANKS],
             host_svc,
             soc_svc,
@@ -414,8 +408,14 @@ impl KvServer {
 
     /// Closes the window into an observation and resets the
     /// accumulators. `pcie_faulty` is sampled by the caller from the
-    /// fabric's fault plane at the decision instant.
-    pub fn take_window(&mut self, now: Nanos, pcie_faulty: bool) -> KvWindowObs {
+    /// fabric's fault plane at the decision instant; `dpa` is the DPA
+    /// plane of this server's SmartNIC, when it carries one.
+    pub fn take_window(
+        &mut self,
+        now: Nanos,
+        pcie_faulty: bool,
+        dpa: Option<&DpaSpec>,
+    ) -> KvWindowObs {
         let window = now - self.win_start;
         let secs = window.as_secs_f64();
         let offered = if secs > 0.0 {
@@ -428,9 +428,8 @@ impl KvServer {
             self.host_svc.as_nanos() as f64 + KV_HOST_PROBE.as_nanos() as f64 * mean_probes;
         let soc_op = self.soc_svc.as_nanos() as f64 + KV_SOC_PROBE.as_nanos() as f64 * mean_probes;
         let resident = self.resident_bytes();
-        let dpa_fits = self.dpa.map(|d| d.fits_scratch(resident)).unwrap_or(false);
-        let dpa_capacity = self
-            .dpa
+        let dpa_fits = dpa.is_some_and(|d| d.fits_scratch(resident));
+        let dpa_capacity = dpa
             .map(|d| {
                 // Per-op DPA service: the handle, plus — when the
                 // shard's state spills past scratch — the SoC-DRAM
@@ -500,7 +499,7 @@ mod tests {
             KvPlacement::Static(Design::HostRpc),
         );
         let servers: Vec<KvServer> = (0..3)
-            .map(|me| KvServer::new(&spec, me, 3, Nanos::new(300), Nanos::new(320), None))
+            .map(|me| KvServer::new(&spec, me, 3, Nanos::new(300), Nanos::new(320)))
             .collect();
         let total: u64 = servers.iter().map(|s| s.index.len()).sum();
         assert_eq!(total, spec.n_keys);
@@ -522,7 +521,7 @@ mod tests {
             KvPlacement::Static(Design::HostRpc),
         )
         .with_keys(2000);
-        let mut s = KvServer::new(&spec, 0, 1, Nanos::new(300), Nanos::new(320), None);
+        let mut s = KvServer::new(&spec, 0, 1, Nanos::new(300), Nanos::new(320));
         let before = s.next_value;
         assert_eq!(before, 2000 * 256);
         let slot = s.put(7);
@@ -650,16 +649,16 @@ mod tests {
             KeyDist::Zipf(0.99),
             KvPlacement::Online(advisor_policy),
         );
-        let mut s = KvServer::new(&spec, 0, 3, Nanos::new(300), Nanos::new(330), None);
+        let mut s = KvServer::new(&spec, 0, 3, Nanos::new(300), Nanos::new(330));
         for i in 0..100 {
             s.observe(i % 10, i % 2 == 0, 2);
         }
-        let obs = s.take_window(Nanos::from_micros(50), false);
+        let obs = s.take_window(Nanos::from_micros(50), false, None);
         assert_eq!(obs.ops, 100);
         assert_eq!(obs.reads, 50);
         assert!(obs.top_key_share >= 0.1);
         assert!(obs.host_capacity_per_sec > 0.0);
-        let empty = s.take_window(Nanos::from_micros(100), false);
+        let empty = s.take_window(Nanos::from_micros(100), false, None);
         assert_eq!(empty.ops, 0);
         assert_eq!(empty.top_key_share, 0.0);
         assert_eq!(empty.window, Nanos::from_micros(50));
@@ -672,37 +671,24 @@ mod tests {
             KeyDist::Uniform,
             KvPlacement::Online(advisor_policy),
         );
-        let mut none = KvServer::new(&spec, 0, 3, Nanos::new(300), Nanos::new(330), None);
-        let obs = none.take_window(Nanos::from_micros(50), false);
+        let mut none = KvServer::new(&spec, 0, 3, Nanos::new(300), Nanos::new(330));
+        let obs = none.take_window(Nanos::from_micros(50), false, None);
         assert_eq!(obs.dpa_capacity_per_sec, 0.0);
         assert!(!obs.dpa_resident_fits);
 
-        let mut dpa = KvServer::new(
-            &spec,
-            0,
-            3,
-            Nanos::new(300),
-            Nanos::new(330),
-            Some(DpaSpec::bluefield3()),
-        );
+        let bf3 = DpaSpec::bluefield3();
+        let mut dpa = KvServer::new(&spec, 0, 3, Nanos::new(300), Nanos::new(330));
         // Default shard state (~6.7k × 256 B values + the index region)
         // overflows the 1 MiB scratch: capacity is the spilled rate.
-        assert!(dpa.resident_bytes() > DpaSpec::bluefield3().scratch_bytes);
-        let spilled = dpa.take_window(Nanos::from_micros(100), false);
+        assert!(dpa.resident_bytes() > bf3.scratch_bytes);
+        let spilled = dpa.take_window(Nanos::from_micros(100), false, Some(&bf3));
         assert!(spilled.dpa_capacity_per_sec > 0.0);
         assert!(!spilled.dpa_resident_fits);
 
         // A small-state shard fits scratch and reports a higher rate.
         let small = spec.with_keys(500).with_value_size(64);
-        let mut fits = KvServer::new(
-            &small,
-            0,
-            3,
-            Nanos::new(300),
-            Nanos::new(330),
-            Some(DpaSpec::bluefield3()),
-        );
-        let resident = fits.take_window(Nanos::from_micros(100), false);
+        let mut fits = KvServer::new(&small, 0, 3, Nanos::new(300), Nanos::new(330));
+        let resident = fits.take_window(Nanos::from_micros(100), false, Some(&bf3));
         assert!(resident.dpa_resident_fits);
         assert!(resident.dpa_capacity_per_sec > spilled.dpa_capacity_per_sec);
     }

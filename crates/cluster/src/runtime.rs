@@ -9,8 +9,8 @@
 //! outboxes in global `(depart, src, seq)` order, arbitrates switch
 //! ports single-threaded, and schedules the arrivals. Because both the
 //! per-epoch work and the merge order are independent of how shards are
-//! assigned to threads, the simulation is byte-identical for any
-//! worker count.
+//! assigned to threads, the simulation is byte-identical for any worker
+//! count.
 //!
 //! Empty epochs are skipped: the driver jumps straight to the next
 //! pending instant (minimum over shard engines and undelivered
@@ -18,18 +18,20 @@
 //! lookahead.
 //!
 //! The hot path avoids per-epoch full scans with a lock-free cache of
-//! each shard's next event time (`AtomicU64`, `u64::MAX` = idle),
-//! refreshed by whoever last touched the shard under its lock. The
-//! cache drives three decisions, all functions of shard state alone —
-//! never of the worker count — so determinism is preserved:
+//! each shard's next event time and of the departure at the front of its
+//! outbox (`AtomicU64`s, `u64::MAX` = none), refreshed by whoever last
+//! touched the shard under its lock. The cache drives four decisions,
+//! all functions of shard state alone — never of the worker count — so
+//! determinism is preserved:
 //!
 //! * `next_time` reads the cache instead of locking every shard;
-//! * only *active* shards (next event inside the epoch) are run and
-//!   have their outboxes drained — an idle shard's `run_until` would be
-//!   a stateless no-op, so skipping it is invisible;
+//! * only *active* shards (next event inside the epoch) are run — an
+//!   idle shard's `run_until` would be a stateless no-op, so skipping it
+//!   is invisible;
 //! * epochs with at most one active shard run inline on the driver
 //!   without waking a worker (the common case when traffic is in
-//!   flight and only the switch has work).
+//!   flight and only the switch has work);
+//! * the merge locks only the shards with a departure in the epoch.
 //!
 //! The calling thread is worker 0: `n` workers spawn `n - 1` threads,
 //! and the driver runs shards too. A parallel epoch goes through the
@@ -39,19 +41,20 @@
 //! thread. Waiting threads spin a bounded number of times, then park;
 //! on an oversubscribed host they park at once.
 //!
-//! Undelivered messages wait in [`Pending`], one bucket per departure
-//! epoch. No message departs before the epoch that emitted it, so each
-//! merge routes exactly one bucket, sorted by key. Each routed message
-//! goes onto its destination shard's list in [`Arrivals`], which also
-//! keeps the destinations in order of their first arrival; delivery
-//! then locks each destination once and schedules its list in routing
-//! order. Shards share nothing but messages, so the order in which the
-//! destinations are served cannot show. The outbox, the buckets and the
-//! lists keep their allocations across epochs.
+//! Undelivered messages wait in their sender's
+//! [`Outbox`](crate::shard::Outbox), already in key order. Each merge
+//! takes every outbox's prefix departing before the epoch's end, sorts
+//! their union by key and routes it. Each routed message goes onto its
+//! destination shard's list in [`Arrivals`], which also keeps the
+//! destinations in order of their first arrival; delivery then locks
+//! each destination once and schedules its list in routing order.
+//! Shards share nothing but messages, so the order in which the
+//! destinations are served cannot show. The outboxes, the due list and
+//! the arrival lists keep their allocations across epochs.
 
 use std::any::Any;
-use std::collections::VecDeque;
 use std::hint;
+use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -71,8 +74,8 @@ pub(crate) struct RunStats {
     pub workers: usize,
 }
 
-/// Cache value for a shard with no pending events. A real event at
-/// `u64::MAX` ns would alias, but horizons are bounded far below that.
+/// Cache value for no pending event or no queued message. A real time
+/// at `u64::MAX` ns would alias, but horizons are bounded far below that.
 const IDLE: u64 = u64::MAX;
 
 /// Polls a waiting thread makes before it parks: enough to ride out the
@@ -86,71 +89,14 @@ const SPINS: u32 = 1 << 12;
 /// locks the shard again.
 const UNPOISONED: &str = "a shard panic is re-raised before its lock is taken again";
 
-/// Re-publishes a shard's next event time. Callers hold the shard lock;
-/// the `Relaxed` store is ordered against readers by the lock release
-/// (and by the gate's `remaining` count on the parallel path).
-fn refresh_cache(slot: &AtomicU64, shard: &Shard) {
-    let t = shard.peek_time().map_or(IDLE, |t| t.as_nanos());
-    slot.store(t, Ordering::Relaxed);
-}
-
-/// Undelivered messages, one bucket per departure epoch (`depart / L`).
-/// Bucket `i` holds the messages departing in epoch `base + i`, in the
-/// order they were emitted; emptied buckets keep their allocations in
-/// `spare`.
-struct Pending {
-    lookahead: u64,
-    base: u64,
-    buckets: VecDeque<Vec<NetMsg>>,
-    spare: Vec<Vec<NetMsg>>,
-}
-
-impl Pending {
-    fn new(lookahead: u64) -> Self {
-        Pending {
-            lookahead,
-            base: 0,
-            buckets: VecDeque::new(),
-            spare: Vec::new(),
-        }
-    }
-
-    fn push(&mut self, m: NetMsg) {
-        let ahead = (m.depart.as_nanos() / self.lookahead)
-            .checked_sub(self.base)
-            .expect("no message departs before the epoch that emitted it");
-        let i = usize::try_from(ahead).expect("a departure fewer than usize::MAX epochs ahead");
-        while self.buckets.len() <= i {
-            let bucket = self.spare.pop().unwrap_or_default();
-            self.buckets.push_back(bucket);
-        }
-        self.buckets[i].push(m);
-    }
-
-    /// The earliest departure of any pending message.
-    fn first_departure(&self) -> Option<u64> {
-        let bucket = self.buckets.iter().find(|b| !b.is_empty())?;
-        bucket.iter().map(|m| m.depart.as_nanos()).min()
-    }
-
-    /// Pops the bucket of `epoch` and hands its messages to `route` in
-    /// key order (keys are unique, so an unstable sort is exact). Every
-    /// earlier bucket is empty: the driver never runs an epoch past a
-    /// pending departure.
-    fn drain_epoch(&mut self, epoch: u64, mut route: impl FnMut(NetMsg)) {
-        // At most `len`, so the cast back is exact.
-        let skipped = (epoch - self.base).min(self.buckets.len() as u64) as usize;
-        for bucket in self.buckets.drain(..skipped) {
-            debug_assert!(bucket.is_empty(), "a departure before epoch {epoch}");
-            self.spare.push(bucket);
-        }
-        self.base = epoch + 1;
-        if let Some(mut ready) = self.buckets.pop_front() {
-            ready.sort_unstable_by_key(NetMsg::key);
-            ready.drain(..).for_each(&mut route);
-            self.spare.push(ready);
-        }
-    }
+/// Re-publishes a shard's next event time and the departure at the
+/// front of its outbox. Callers hold the shard lock; the `Relaxed`
+/// stores are ordered against readers by the lock release (and by the
+/// gate's `remaining` count on the parallel path).
+fn refresh_cache(event: &AtomicU64, depart: &AtomicU64, shard: &Shard) {
+    let ns = |t: Option<Nanos>| t.map_or(IDLE, |t| t.as_nanos());
+    event.store(ns(shard.peek_time()), Ordering::Relaxed);
+    depart.store(ns(shard.outbox().front()), Ordering::Relaxed);
 }
 
 /// One epoch's routed messages, as `(arrive, drained, message)`: a list
@@ -179,58 +125,61 @@ impl Arrivals {
 }
 
 /// The earliest instant anything can still happen: the minimum over
-/// every shard's cached next event and every undelivered message's
-/// departure. Departures must participate, otherwise the driver could
-/// skip past the epoch in which a message was due to arrive.
-fn next_time(cache: &[AtomicU64], pending: &Pending) -> Option<Nanos> {
-    let mut t = pending.first_departure().unwrap_or(IDLE);
-    for slot in cache {
+/// every shard's cached next event and outbox front. Departures must
+/// participate, otherwise the driver could skip past the epoch in which
+/// a message was due to arrive.
+fn next_time(cache: &[AtomicU64], fronts: &[AtomicU64]) -> Option<Nanos> {
+    let mut t = IDLE;
+    for slot in cache.iter().chain(fronts) {
         t = t.min(slot.load(Ordering::Relaxed));
     }
     (t != IDLE).then(|| Nanos::new(t))
 }
 
-/// Merge step: collect the outboxes of the shards that ran this epoch,
-/// then arbitrate every message departing in `epoch` in global
-/// `(depart, src, seq)` order. Messages departing later stay pending —
-/// their switch-port reservations must wait until all earlier traffic
-/// is known.
+/// Merge step: take every message departing in `epoch` from the
+/// outboxes that hold one, then arbitrate them in global `(depart, src,
+/// seq)` order. Messages departing later wait in their outboxes — their
+/// switch-port reservations must wait until all earlier traffic is
+/// known.
 ///
 /// Routing order is the global key order (port arbitration is
 /// stateful), and each destination's list keeps it, so each shard
 /// observes its arrivals in the global order restricted to it — the
 /// exact sequence the unbatched loop produced — while being locked once.
-#[allow(clippy::too_many_arguments)]
 fn merge(
     cells: &[Mutex<Shard>],
     cache: &[AtomicU64],
-    active: &[usize],
+    fronts: &[AtomicU64],
     switch: &mut SwitchFabric,
-    pending: &mut Pending,
-    outbox: &mut Vec<NetMsg>,
+    due: &mut Vec<NetMsg>,
     arrivals: &mut Arrivals,
-    epoch: u64,
+    epoch: Range<u64>,
 ) {
-    for &i in active {
-        cells[i].lock().expect(UNPOISONED).drain_outbox(outbox);
+    for (i, front) in fronts.iter().enumerate() {
+        if front.load(Ordering::Relaxed) < epoch.end {
+            let mut shard = cells[i].lock().expect(UNPOISONED);
+            shard.outbox_mut().take_due(Nanos::new(epoch.end), due);
+            refresh_cache(&cache[i], front, &shard);
+        }
     }
-    for m in outbox.drain(..) {
-        pending.push(m);
-    }
-    pending.drain_epoch(epoch, |m| {
+    // Keys are unique, so an unstable sort is exact.
+    due.sort_unstable_by_key(NetMsg::key);
+    let t = due.first().map_or(epoch.start, |m| m.depart.as_nanos());
+    assert!(t >= epoch.start, "a departure at {t} ns before its epoch");
+    for m in due.drain(..) {
         // `None` means the fault plane lost the frame on the wire: the
         // uplink reservation is burned but nothing arrives — recovery is
         // the requester's timeout, never the switch's.
         if let Some(d) = switch.route(&m) {
             arrivals.push(d.arrive, d.drained, m);
         }
-    });
+    }
     for dst in arrivals.dsts.drain(..) {
         let mut shard = cells[dst].lock().expect(UNPOISONED);
         for (arrive, drained, m) in arrivals.by_dst[dst].drain(..) {
             shard.deliver(arrive, &m, drained);
         }
-        refresh_cache(&cache[dst], &shard);
+        refresh_cache(&cache[dst], &fronts[dst], &shard);
     }
 }
 
@@ -428,36 +377,33 @@ pub(crate) fn drive(
     workers: usize,
 ) -> RunStats {
     let lookahead = switch.lookahead().as_nanos().max(1);
-    let mut pending = Pending::new(lookahead);
     let mut epochs = 0u64;
     let workers = workers.clamp(1, cells.len().max(1));
 
-    let cache: Vec<AtomicU64> = cells
-        .iter()
-        .map(|cell| {
-            let shard = cell.lock().expect(UNPOISONED);
-            AtomicU64::new(shard.peek_time().map_or(IDLE, |t| t.as_nanos()))
-        })
-        .collect();
+    let cache: Vec<AtomicU64> = cells.iter().map(|_| AtomicU64::new(IDLE)).collect();
+    let fronts: Vec<AtomicU64> = cells.iter().map(|_| AtomicU64::new(IDLE)).collect();
+    for (i, cell) in cells.iter().enumerate() {
+        refresh_cache(&cache[i], &fronts[i], &cell.lock().expect(UNPOISONED));
+    }
     let mut active: Vec<usize> = Vec::with_capacity(cells.len());
-    let mut outbox: Vec<NetMsg> = Vec::new();
+    let mut due: Vec<NetMsg> = Vec::new();
     let mut arrivals = Arrivals::new(cells.len());
 
     // Runs shard `i` to the end of the epoch ending at `end` (exclusive).
     let run = |i: usize, end: u64| {
         let mut shard = cells[i].lock().expect(UNPOISONED);
         shard.run_until(Nanos::new(end - 1));
-        refresh_cache(&cache[i], &shard);
+        refresh_cache(&cache[i], &fronts[i], &shard);
     };
     let gate = Gate::new(cells.len(), workers);
     thread::scope(|scope| {
         let crew = Crew::spawn(scope, &gate, workers - 1, &run);
-        while let Some(t) = next_time(&cache, &pending) {
+        while let Some(t) = next_time(&cache, &fronts) {
             if t > horizon {
                 break;
             }
-            let epoch = t.as_nanos() / lookahead;
-            let end = (epoch + 1) * lookahead;
+            let start = t.as_nanos() / lookahead * lookahead;
+            let end = start + lookahead;
             // The active set: shards whose next event lies inside the
             // epoch. Depends only on shard state, never on which thread
             // runs a shard.
@@ -473,12 +419,11 @@ pub(crate) fn drive(
             merge(
                 cells,
                 &cache,
-                &active,
+                &fronts,
                 switch,
-                &mut pending,
-                &mut outbox,
+                &mut due,
                 &mut arrivals,
-                epoch,
+                start..end,
             );
             epochs += 1;
         }
@@ -498,55 +443,72 @@ mod tests {
 
     use crate::msg::MsgKind;
     use crate::scenario::{run_cluster, ClusterScenario, ClusterStream};
+    use crate::shard::Outbox;
+
+    fn response() -> MsgKind {
+        MsgKind::Response {
+            stream: 0,
+            thread: 0,
+            posted: Nanos::ZERO,
+            xid: 0,
+        }
+    }
 
     #[test]
-    fn buckets_release_messages_in_ordered_map_order() {
+    fn outboxes_release_messages_in_ordered_map_order() {
         // Oracle: an ordered map keyed by `(depart, src, seq)`, the
-        // routing order. Departures sit on a 150 ns grid, so equal
-        // departures from different sources are common, and they are
-        // often emitted in different epochs in the opposite order.
+        // routing order. Each of 8 sources pushes non-decreasing
+        // departures on a 150 ns grid, most within three epochs and some
+        // up to 200 ahead, so equal departures from different sources
+        // are common.
         const L: u64 = 450;
         let mut rng = SimRng::seed(11);
-        let mut pending = Pending::new(L);
+        let mut outboxes: Vec<Outbox> = (0..8).map(Outbox::new).collect();
+        let (mut last, mut seq) = ([0u64; 8], [0u64; 8]);
         let mut oracle: BTreeMap<(u64, usize, u64), NetMsg> = BTreeMap::new();
-        let mut seq = [0u64; 8];
-        let (mut skips, mut inversions, mut far) = (0, 0, 0);
+        let mut due = Vec::new();
+        let (mut skips, mut ties, mut far) = (0, 0, 0);
         let mut epoch = 0u64;
         for _ in 0..4000 {
             for _ in 0..rng.uniform_u64(6) {
-                let src = rng.index(seq.len());
-                let ahead = if rng.chance(0.3) { L } else { 200 * L };
-                let depart = epoch * L + rng.uniform_u64(ahead) / 150 * 150;
+                let src = rng.index(outboxes.len());
+                let ahead = if rng.chance(0.05) { 200 * L } else { 3 * L };
+                let depart = (epoch * L + rng.uniform_u64(ahead) / 150 * 150).max(last[src]);
+                last[src] = depart;
                 far += usize::from(depart >= (epoch + 150) * L);
+                outboxes[src].push(0, Nanos::new(depart), 0, response());
                 let m = NetMsg {
                     src,
                     dst: 0,
                     seq: seq[src],
                     depart: Nanos::new(depart),
-                    bytes: epoch, // the emitting epoch, for the inversion count
-                    kind: MsgKind::Response {
-                        stream: 0,
-                        thread: 0,
-                        posted: Nanos::ZERO,
-                        xid: 0,
-                    },
+                    bytes: 0,
+                    kind: response(),
                 };
                 seq[src] += 1;
                 oracle.insert(m.key(), m);
-                pending.push(m);
             }
-            let rest = oracle.split_off(&((epoch + 1) * L, 0, 0));
+            let end = (epoch + 1) * L;
+            let rest = oracle.split_off(&(end, 0, 0));
             let want: Vec<NetMsg> = std::mem::replace(&mut oracle, rest).into_values().collect();
-            let mut got = Vec::new();
-            pending.drain_epoch(epoch, |m| got.push(m));
+            for out in &mut outboxes {
+                out.take_due(Nanos::new(end), &mut due);
+            }
+            due.sort_unstable_by_key(NetMsg::key);
             let keys = |v: &[NetMsg]| v.iter().map(NetMsg::key).collect::<Vec<_>>();
-            assert_eq!(keys(&got), keys(&want), "epoch {epoch}");
-            inversions += want
+            assert_eq!(keys(&due), keys(&want), "epoch {epoch}");
+            due.clear();
+            ties += want
                 .windows(2)
-                .filter(|w| w[0].depart == w[1].depart && w[0].bytes > w[1].bytes)
+                .filter(|w| w[0].depart == w[1].depart && w[0].src != w[1].src)
                 .count();
-            let first = oracle.keys().next().map(|k| k.0);
-            assert_eq!(pending.first_departure(), first, "after epoch {epoch}");
+            let first = outboxes.iter().filter_map(Outbox::front).min();
+            let first = first.map(|t| t.as_nanos());
+            assert_eq!(
+                first,
+                oracle.keys().next().map(|k| k.0),
+                "after epoch {epoch}"
+            );
             // A shard event in the next epoch or a few later, or none:
             // then the driver jumps to the first departure.
             let shard = rng
@@ -560,11 +522,16 @@ mod tests {
             epoch = next / L;
         }
         assert!(skips > 100, "only {skips} skipped stretches");
-        assert!(
-            inversions > 100,
-            "only {inversions} emission-order inversions"
-        );
+        assert!(ties > 100, "only {ties} equal departures from two sources");
         assert!(far > 100, "only {far} departures 150+ epochs ahead");
+    }
+
+    #[test]
+    #[should_panic(expected = "departure 899ns precedes 900ns")]
+    fn an_outbox_rejects_a_departure_before_its_last() {
+        let mut out = Outbox::new(0);
+        out.push(1, Nanos::new(900), 0, response());
+        out.push(1, Nanos::new(899), 0, response());
     }
 
     #[test]

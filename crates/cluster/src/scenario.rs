@@ -21,7 +21,7 @@ use topology::ClusterSpec;
 use crate::fm::{FmHost, FmServer};
 use crate::kv::{KvPlacement, KvServer, KvStreamSpec};
 use crate::runtime;
-use crate::shard::{Shard, ShardCounters, StreamZipfs};
+use crate::shard::{Outbox, Shard, ShardCounters, StreamZipfs};
 use crate::switch::SwitchFabric;
 
 /// One cluster-wide load stream: requester threads on a set of client
@@ -554,13 +554,13 @@ pub fn run_cluster(scenario: &ClusterScenario, streams: &[ClusterStream]) -> Clu
                 + PostCostModel::new(m, PosterKind::HostCpu).cpu_time_per_request(PostMode::Mmio);
             // Without a SmartNIC the placement never reaches a SoC core
             // (checked at entry), so the SoC service time goes unread.
-            let (soc_svc, dpa) = m.nic.smartnic().map_or((Nanos::ZERO, None), |soc| {
+            let soc_svc = m.nic.smartnic().map_or(Nanos::ZERO, |soc| {
                 let post = PostCostModel::new(m, PosterKind::SocCore)
                     .cpu_time_per_request(PostMode::Doorbell(32));
-                (soc.soc.msg_handle_time + post, soc.dpa)
+                soc.soc.msg_handle_time + post
             });
             shards[n_clients + j]
-                .install_kv_server(KvServer::new(spec, j, n_servers, host_svc, soc_svc, dpa));
+                .install_kv_server(KvServer::new(spec, j, n_servers, host_svc, soc_svc));
         }
     }
     // The far-memory pool likewise spans every server machine's SoC:
@@ -606,6 +606,12 @@ pub fn run_cluster(scenario: &ClusterScenario, streams: &[ClusterStream]) -> Clu
         .into_iter()
         .map(|c| c.into_inner().expect("no shard panicked"))
         .collect();
+    let outbox_sum = |f: fn(&Outbox) -> u64| -> u64 { shards.iter().map(|s| f(s.outbox())).sum() };
+    debug_assert_eq!(
+        outbox_sum(Outbox::emitted),
+        switch.routed() + switch.dropped() + outbox_sum(Outbox::waiting),
+        "every emitted message is routed, lost on the wire or waiting in its outbox"
+    );
 
     // Merge per-stream aggregates and counters in shard-index order —
     // another fixed order, independent of the worker count.

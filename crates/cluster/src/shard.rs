@@ -23,6 +23,8 @@
 mod client;
 mod server;
 
+use std::collections::VecDeque;
+
 use nicsim::{ClientMachine, DpaStats, Fabric, PathKind, Verb};
 use rdma_sim::transport::SignalTracker;
 use simnet::arrivals::{user_home_addr, AdmissionQueue, ArrivalGen, OpenLoopSpec};
@@ -245,17 +247,32 @@ struct Issue {
     user: Option<u64>,
 }
 
-/// Messages emitted since the last barrier, stamped with this shard as
-/// source and a per-source sequence number (the merge tie-breaker).
-struct Outbox {
+/// Every message this shard emitted that the switch has not routed yet,
+/// stamped with this shard as source and a per-source sequence number
+/// (the merge tie-breaker). A machine emits only through one FIFO wire
+/// direction (`ClientMachine::issue` on a client, the reply site of
+/// `Server::receive` on a server), so departures never decrease: the
+/// queue is in key order, and the merge takes a prefix.
+pub(crate) struct Outbox {
     src: ShardId,
     seq: u64,
-    msgs: Vec<NetMsg>,
+    msgs: VecDeque<NetMsg>,
 }
 
 impl Outbox {
-    fn push(&mut self, dst: ShardId, depart: Nanos, bytes: u64, kind: MsgKind) {
-        self.msgs.push(NetMsg {
+    pub(crate) fn new(src: ShardId) -> Self {
+        Outbox {
+            src,
+            seq: 0,
+            msgs: VecDeque::new(),
+        }
+    }
+
+    /// Queues a message, departing no earlier than the last one queued.
+    pub(crate) fn push(&mut self, dst: ShardId, depart: Nanos, bytes: u64, kind: MsgKind) {
+        let last = self.msgs.back().map_or(Nanos::ZERO, |m| m.depart);
+        assert!(last <= depart, "departure {depart:?} precedes {last:?}");
+        self.msgs.push_back(NetMsg {
             src: self.src,
             dst,
             seq: self.seq,
@@ -264,6 +281,28 @@ impl Outbox {
             kind,
         });
         self.seq += 1;
+    }
+
+    /// The earliest queued departure.
+    pub(crate) fn front(&self) -> Option<Nanos> {
+        self.msgs.front().map(|m| m.depart)
+    }
+
+    /// Moves the queued messages departing before `end` into `into`.
+    pub(crate) fn take_due(&mut self, end: Nanos, into: &mut Vec<NetMsg>) {
+        while self.msgs.front().is_some_and(|m| m.depart < end) {
+            into.extend(self.msgs.pop_front());
+        }
+    }
+
+    /// Messages emitted so far.
+    pub(crate) fn emitted(&self) -> u64 {
+        self.seq
+    }
+
+    /// Messages queued.
+    pub(crate) fn waiting(&self) -> u64 {
+        self.msgs.len() as u64
     }
 }
 
@@ -423,11 +462,7 @@ impl Shard {
                 streams: (0..n_streams).map(|_| None).collect(),
                 aggs: (0..n_streams).map(|_| StreamAgg::default()).collect(),
                 counters: ShardCounters::default(),
-                outbox: Outbox {
-                    src: id,
-                    seq: 0,
-                    msgs: Vec::new(),
-                },
+                outbox: Outbox::new(id),
                 measure_from,
                 measure_to,
                 retry: None,
@@ -653,12 +688,14 @@ impl Shard {
         self.engine.delivered()
     }
 
-    /// Drains the messages emitted since the last barrier into `into`,
-    /// preserving emission order. Both allocations are kept, so the
-    /// runtime's merge buffer and this outbox stop churning the
-    /// allocator once the cluster reaches steady state.
-    pub(crate) fn drain_outbox(&mut self, into: &mut Vec<NetMsg>) {
-        into.append(&mut self.io.outbox.msgs);
+    /// The messages this shard emitted that are not routed yet.
+    pub(crate) fn outbox(&self) -> &Outbox {
+        &self.io.outbox
+    }
+
+    /// The same, for the merge to take the due ones.
+    pub(crate) fn outbox_mut(&mut self) -> &mut Outbox {
+        &mut self.io.outbox
     }
 
     /// Schedules a switch-delivered message into the shard's engine.

@@ -564,7 +564,7 @@ impl Server {
             let (slowdown, extra) = p.pcie_degradation(now);
             p.has_stochastic_faults() || slowdown > 1.0 || extra > Nanos::ZERO
         });
-        let obs = kv.take_window(now, pcie_faulty);
+        let obs = kv.take_window(now, pcie_faulty, self.fabric.server.dpa_spec());
         let policy = kv.policy.expect("epoch chain armed without a policy");
         let next = policy(&obs);
         kv.decisions += 1;

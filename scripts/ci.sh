@@ -114,6 +114,30 @@ if ! grep -q "ok. 5 passed" <<<"$prim_out" || ! grep -q "ok. 2 passed" <<<"$prim
     exit 1
 fi
 
+# The rack runtime must route in global (depart, src, seq) order and
+# hand a shard's panic to the caller. The outbox oracle drives the
+# shipped outbox push and due-prefix take against an ordered map; the
+# should-panic test pins the push's check that departures never
+# decrease; the two panic tests pin the gate and run_cluster at one and
+# two workers. Run the four by name and refuse a run where the filters
+# matched anything else.
+rt_out=$(cargo test --release --offline -p snic-cluster --lib -- \
+    outboxes_release_messages_in_ordered_map_order \
+    an_outbox_rejects_a_departure_before_its_last \
+    gate_re_raises_a_worker_panic_on_the_driver a_worker_panic_reaches_the_caller 2>&1) || {
+    echo "$rt_out"
+    echo "ci.sh: rack runtime oracle tests FAILED" >&2
+    exit 1
+}
+if ! grep -q "ok. 4 passed" <<<"$rt_out"; then
+    echo "$rt_out"
+    echo "ci.sh: expected exactly runtime::tests::outboxes_release_messages_in_ordered_map_order +" \
+        "runtime::tests::an_outbox_rejects_a_departure_before_its_last +" \
+        "runtime::tests::gate_re_raises_a_worker_panic_on_the_driver +" \
+        "runtime::tests::a_worker_panic_reaches_the_caller (filtered out or renamed?)" >&2
+    exit 1
+fi
+
 # Every DMA leg must stay exact: the digest test folds each leg's
 # finish time, hop breakdown and PCIe counters on the three server NICs,
 # healthy and degraded, into one constant. Run it by name and refuse a
@@ -162,4 +186,4 @@ for workload in rack_verbs rack_services harness_sweep; do
     fi
 done
 
-echo "ci.sh: build + tests + fmt + clippy (workspace and snicbench) + rustdoc + cluster determinism + golden digests + LLC oracle and width tests (lockstep_matches_per_line_oracle, repeated_receive_buffer_write_on_xeon, runs_match_per_line_oracle, narrow_tags_widen_in_place, tag_storage_is_allocated_per_touched_chunk) + scheduler and primitive oracles (engine_matches_baseline_across_the_deque_threshold, from_nanos_f64_matches_round, multiserver_matches_heap_model, pipe_memo_matches_uncached_service, zipf_guide_matches_the_searches, probes_match_linear_probing_model, index_matches_hashmap_oracle) + DMA-leg digest (dma_legs_match_recorded_digest) + quickstart example + Figure-1 table and KV examples + benchmark smoke all green (offline)"
+echo "ci.sh: build + tests + fmt + clippy (workspace and snicbench) + rustdoc + cluster determinism + golden digests + LLC oracle and width tests (lockstep_matches_per_line_oracle, repeated_receive_buffer_write_on_xeon, runs_match_per_line_oracle, narrow_tags_widen_in_place, tag_storage_is_allocated_per_touched_chunk) + scheduler and primitive oracles (engine_matches_baseline_across_the_deque_threshold, from_nanos_f64_matches_round, multiserver_matches_heap_model, pipe_memo_matches_uncached_service, zipf_guide_matches_the_searches, probes_match_linear_probing_model, index_matches_hashmap_oracle) + rack runtime oracles (outboxes_release_messages_in_ordered_map_order, an_outbox_rejects_a_departure_before_its_last, gate_re_raises_a_worker_panic_on_the_driver, a_worker_panic_reaches_the_caller) + DMA-leg digest (dma_legs_match_recorded_digest) + quickstart example + Figure-1 table and KV examples + benchmark smoke all green (offline)"

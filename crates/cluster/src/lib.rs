@@ -21,6 +21,8 @@
 mod fm;
 pub mod kv;
 pub mod msg;
+#[cfg(test)]
+mod parallel_tests;
 mod runtime;
 pub mod scenario;
 mod shard;

@@ -5,8 +5,8 @@
 //! interval `[kL, (k+1)L)` — shards cannot interact: any message emitted
 //! by an event at time `t` departs at `depart >= t` and arrives no
 //! earlier than `depart + L >= (k+1)L`, i.e. in a later epoch. So all
-//! shards run one epoch in parallel, then the calling thread merges their
-//! outboxes in global `(depart, src, seq)` order, arbitrates switch
+//! shards may run one epoch in parallel, then the calling thread merges
+//! their outboxes in global `(depart, src, seq)` order, arbitrates switch
 //! ports single-threaded, and schedules the arrivals. Because both the
 //! per-epoch work and the merge order are independent of how shards are
 //! assigned to threads, the simulation is byte-identical for any worker
@@ -33,13 +33,23 @@
 //!   flight and only the switch has work);
 //! * the merge locks only the shards with a departure in the epoch.
 //!
-//! The calling thread is worker 0: `n` workers spawn `n - 1` threads,
-//! and the driver runs shards too. A parallel epoch goes through the
-//! [`Gate`]: the driver publishes the epoch's active list, then it
-//! claims shards from the server end while the spawned workers claim
-//! from the client end, so at two workers a shard tends to stay on one
-//! thread. Waiting threads spin a bounded number of times, then park;
-//! on an oversubscribed host they park at once.
+//! The worker count is a cap, not a command. The calling thread is
+//! worker 0 and starts every run alone; a cap of `n` lets it spawn
+//! `n - 1` threads, which it does, with the [`Gate`] they meet at, only
+//! for the first epoch it runs in parallel. A multi-shard epoch runs on
+//! the workers only while a [`Rule`] over the last 32 multi-shard epochs
+//! says that their *spare work* — the events the active shards other
+//! than the busiest handled, which a second thread could take while the
+//! driver runs the busiest — clears [`PARALLEL_GRAIN`]. At one worker no
+//! rule runs. Which executor runs an epoch never shows in the results,
+//! for the same reason the worker count does not.
+//!
+//! A parallel epoch goes through the gate: the driver publishes the
+//! epoch's active list, then it claims shards from the server end while
+//! the spawned workers claim from the client end, so at two workers a
+//! shard tends to stay on one thread. Waiting threads spin a bounded
+//! number of times, then park; on an oversubscribed host they park at
+//! once.
 //!
 //! Undelivered messages wait in their sender's
 //! [`Outbox`](crate::shard::Outbox), already in key order. Each merge
@@ -53,6 +63,7 @@
 //! the arrival lists keep their allocations across epochs.
 
 use std::any::Any;
+use std::cell::OnceCell;
 use std::hint;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
@@ -70,8 +81,70 @@ use crate::switch::SwitchFabric;
 pub(crate) struct RunStats {
     /// Non-empty epochs executed.
     pub epochs: u64,
-    /// Workers the driver ran with, itself included.
+    /// Of those, the epochs run on the worker threads.
+    pub parallel_epochs: u64,
+    /// Spare work summed over the multi-shard epochs (see [`spare`]); 0
+    /// at one worker, where no rule runs.
+    pub spare: u64,
+    /// The worker cap the driver ran with, itself included.
     pub workers: usize,
+}
+
+/// Spare work per multi-shard epoch, in events, from which running the
+/// epoch on the workers pays for its gate round and for the slower runs
+/// of shards on another core. Derived from `examples/rack_scaling.rs` on
+/// a 2-core Intel Xeon host (DESIGN.md §9): two workers lost to one at
+/// racks averaging 14–24 spare events per multi-shard epoch, broke even
+/// near 43 and won at 80.
+pub(crate) const PARALLEL_GRAIN: u64 = 40;
+
+/// Votes of the last 32 multi-shard epochs (see [`Rule`]) that start
+/// parallel epochs, and below which they stop.
+const VOTES_ON: u32 = 24;
+const VOTES_OFF: u32 = 8;
+
+/// Whether multi-shard epochs run on the workers. Each multi-shard epoch
+/// votes for the workers when its spare work reached the grain, and the
+/// last 32 votes decide: parallel starts at three quarters of them and
+/// stops below a quarter. So a start-up burst of a few huge epochs does
+/// not start it, spare work that hovers at the grain does not flip it,
+/// and a lasting change of load does within 25 epochs.
+struct Rule {
+    grain: u64,
+    /// Bit `j` is the vote of the `j`-th most recent multi-shard epoch.
+    votes: u32,
+    parallel: bool,
+}
+
+impl Rule {
+    /// A rule whose window holds 32 epochs without spare work: inline,
+    /// unless the grain is zero.
+    fn new(grain: u64) -> Self {
+        let votes = if grain == 0 { u32::MAX } else { 0 };
+        Rule {
+            grain,
+            votes,
+            parallel: votes.count_ones() >= VOTES_ON,
+        }
+    }
+
+    /// Takes the vote of a multi-shard epoch with `spare` spare events.
+    fn record(&mut self, spare: u64) {
+        self.votes = self.votes << 1 | u32::from(spare >= self.grain);
+        let votes = self.votes.count_ones();
+        self.parallel = votes >= if self.parallel { VOTES_OFF } else { VOTES_ON };
+    }
+}
+
+/// An epoch's spare work: the events its `active` shards other than the
+/// busiest handled (`ran[i]` for shard `i`), the work a second thread
+/// could take while the driver runs the busiest.
+fn spare(active: &[usize], ran: &[AtomicU64]) -> u64 {
+    let (sum, max) = active
+        .iter()
+        .map(|&i| ran[i].load(Ordering::Relaxed))
+        .fold((0, 0), |(sum, max), n| (sum + n, max.max(n)));
+    sum - max
 }
 
 /// Cache value for no pending event or no queued message. A real time
@@ -367,17 +440,20 @@ impl Drop for Crew<'_> {
 }
 
 /// Runs the cluster until no shard has an event at or before `horizon`
-/// on `workers` threads, the calling one included (clamped to the shard
-/// count). Every epoch has the same schedule whatever the count; at one
-/// worker the driver runs every epoch itself and spawns no thread.
+/// on at most `workers` threads, the calling one included (clamped to
+/// the shard count), going parallel only while a [`Rule`] with `grain`
+/// says so. Every epoch has the same schedule whatever the count or the
+/// rule. At one worker the driver runs every epoch itself; at more it
+/// spawns no thread before its first parallel epoch.
 pub(crate) fn drive(
     cells: &[Mutex<Shard>],
     switch: &mut SwitchFabric,
     horizon: Nanos,
     workers: usize,
+    grain: u64,
 ) -> RunStats {
     let lookahead = switch.lookahead().as_nanos().max(1);
-    let mut epochs = 0u64;
+    let (mut epochs, mut parallel_epochs, mut spare_sum) = (0u64, 0u64, 0u64);
     let workers = workers.clamp(1, cells.len().max(1));
 
     let cache: Vec<AtomicU64> = cells.iter().map(|_| AtomicU64::new(IDLE)).collect();
@@ -385,19 +461,28 @@ pub(crate) fn drive(
     for (i, cell) in cells.iter().enumerate() {
         refresh_cache(&cache[i], &fronts[i], &cell.lock().expect(UNPOISONED));
     }
+    // Events each shard handled in its last multi-shard epoch, stored
+    // `Relaxed` and read by the driver after the gate's `remaining`
+    // count, like the cache.
+    let ran: Vec<AtomicU64> = cells.iter().map(|_| AtomicU64::new(0)).collect();
     let mut active: Vec<usize> = Vec::with_capacity(cells.len());
     let mut due: Vec<NetMsg> = Vec::new();
     let mut arrivals = Arrivals::new(cells.len());
 
-    // Runs shard `i` to the end of the epoch ending at `end` (exclusive).
+    // Runs shard `i` to the end of the epoch ending at `end` (exclusive)
+    // and returns the events it handled.
     let run = |i: usize, end: u64| {
         let mut shard = cells[i].lock().expect(UNPOISONED);
+        let before = shard.events_delivered();
         shard.run_until(Nanos::new(end - 1));
         refresh_cache(&cache[i], &fronts[i], &shard);
+        shard.events_delivered() - before
     };
-    let gate = Gate::new(cells.len(), workers);
+    let record = |i: usize, end: u64| ran[i].store(run(i, end), Ordering::Relaxed);
+    let mut rule = (workers > 1).then(|| Rule::new(grain));
+    let gate = OnceCell::new();
     thread::scope(|scope| {
-        let crew = Crew::spawn(scope, &gate, workers - 1, &run);
+        let mut crew = None;
         while let Some(t) = next_time(&cache, &fronts) {
             if t > horizon {
                 break;
@@ -409,11 +494,26 @@ pub(crate) fn drive(
             // runs a shard.
             active.clear();
             active.extend((0..cells.len()).filter(|&i| cache[i].load(Ordering::Relaxed) < end));
-            if active.len() > 1 && !crew.workers.is_empty() {
-                crew.run_epoch(&active, end, &run);
-            } else {
-                for &i in &active {
-                    run(i, end);
+            match rule.as_mut() {
+                Some(rule) if active.len() > 1 => {
+                    if rule.parallel {
+                        let gate = gate.get_or_init(|| Gate::new(cells.len(), workers));
+                        crew.get_or_insert_with(|| Crew::spawn(scope, gate, workers - 1, &record))
+                            .run_epoch(&active, end, &record);
+                        parallel_epochs += 1;
+                    } else {
+                        for &i in &active {
+                            record(i, end);
+                        }
+                    }
+                    let spare = spare(&active, &ran);
+                    spare_sum += spare;
+                    rule.record(spare);
+                }
+                _ => {
+                    for &i in &active {
+                        run(i, end);
+                    }
                 }
             }
             merge(
@@ -428,7 +528,12 @@ pub(crate) fn drive(
             epochs += 1;
         }
     });
-    RunStats { epochs, workers }
+    RunStats {
+        epochs,
+        parallel_epochs,
+        spare: spare_sum,
+        workers,
+    }
 }
 
 #[cfg(test)]
@@ -442,8 +547,63 @@ mod tests {
     use simnet::rng::SimRng;
 
     use crate::msg::MsgKind;
-    use crate::scenario::{run_cluster, ClusterScenario, ClusterStream};
+    use crate::scenario::{run_with_grain, ClusterScenario, ClusterStream};
     use crate::shard::Outbox;
+
+    /// Feeds `spares` to `rule` and returns its decision after each.
+    fn decide(rule: &mut Rule, spares: impl IntoIterator<Item = u64>) -> Vec<bool> {
+        spares
+            .into_iter()
+            .map(|s| {
+                rule.record(s);
+                rule.parallel
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_start_up_burst_does_not_switch_the_window() {
+        // A rack's first epochs carry every slot posted at t = 0: huge,
+        // then back to the steady state below the grain.
+        let mut rule = Rule::new(PARALLEL_GRAIN);
+        assert!(!rule.parallel);
+        let burst = [7380, 5328, 3446, 2160, 1080, 123];
+        let steady = (0..200).map(|i| PARALLEL_GRAIN / 4 + i % 8);
+        let decisions = decide(&mut rule, burst.into_iter().chain(steady));
+        assert!(decisions.iter().all(|&p| !p), "{decisions:?}");
+    }
+
+    #[test]
+    fn sustained_spare_work_switches_the_window() {
+        let mut rule = Rule::new(PARALLEL_GRAIN);
+        let on = decide(&mut rule, (0..32).map(|i| PARALLEL_GRAIN + i % 3));
+        assert_eq!(on.iter().position(|&p| p), Some(VOTES_ON as usize - 1));
+        let off = decide(&mut rule, (0..32).map(|i| PARALLEL_GRAIN / 2 + i % 3));
+        assert_eq!(
+            off.iter().position(|&p| !p),
+            Some((32 - VOTES_OFF) as usize)
+        );
+        // The grain forced to zero is parallel from the first epoch on.
+        let mut forced = Rule::new(0);
+        assert!(forced.parallel);
+        assert!(decide(&mut forced, [0, 1, 0]).into_iter().all(|p| p));
+    }
+
+    #[test]
+    fn hysteresis_holds_near_the_grain() {
+        // Spare work alternating just below and at the grain keeps
+        // whichever executor the rule had: inline from a fresh start,
+        // parallel after a sustained stretch above the grain.
+        let near = || (0..400).map(|i| PARALLEL_GRAIN + i % 2 - 1);
+        let mut rule = Rule::new(PARALLEL_GRAIN);
+        assert!(decide(&mut rule, near()).iter().all(|&p| !p));
+        decide(&mut rule, [2 * PARALLEL_GRAIN; 32]);
+        assert!(rule.parallel);
+        assert!(decide(&mut rule, near()).iter().all(|&p| p));
+        // Nor do stretches of 16 above and 16 below flip it.
+        let waves = (0..400).map(|i| if i / 16 % 2 == 0 { 0 } else { u64::MAX });
+        assert!(decide(&mut rule, waves).iter().all(|&p| p));
+    }
 
     fn response() -> MsgKind {
         MsgKind::Response {
@@ -577,8 +737,11 @@ mod tests {
                 sc.cluster.clients.truncate(3);
                 let st =
                     ClusterStream::new(PathKind::Snic1, Verb::Send, 64, vec![0, 1, 2]).with_dpa();
-                let payload = panic::catch_unwind(AssertUnwindSafe(|| run_cluster(&sc, &[st])))
-                    .expect_err("a DPA stream needs DPA-carrying servers");
+                // With the grain forced to zero, a 3-client rack runs its
+                // multi-shard epochs on the workers too.
+                let payload =
+                    panic::catch_unwind(AssertUnwindSafe(|| run_with_grain(&sc, &[st], 0)))
+                        .expect_err("a DPA stream needs DPA-carrying servers");
                 let message = payload
                     .downcast_ref::<&str>()
                     .map(|s| s.to_string())

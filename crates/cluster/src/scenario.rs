@@ -194,10 +194,12 @@ pub struct ClusterScenario {
     pub duration: Nanos,
     /// PRNG seed.
     pub seed: u64,
-    /// Worker threads, the caller's included: `n` workers spawn `n - 1`
-    /// threads and the calling thread runs shards as worker 0. `0` means
-    /// one per available core. Results are byte-identical for every
-    /// value.
+    /// The most worker threads a run may use, the caller's included: a
+    /// cap of `n` lets the runtime spawn `n - 1` threads while the
+    /// calling thread runs shards as worker 0. It spawns them only once
+    /// an epoch's spare work pays for them, so a rack too small to gain
+    /// from them runs on the calling thread alone. `0` means one per
+    /// available core. Results are byte-identical for every value.
     pub workers: usize,
     /// Fault-injection schedule; the default ([`FaultSpec::none`]) is
     /// inert and installs nothing anywhere.
@@ -235,7 +237,7 @@ impl ClusterScenario {
         }
     }
 
-    /// Overrides the worker-thread count.
+    /// Overrides the worker-thread cap.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self
@@ -302,9 +304,18 @@ pub struct ClusterResult {
     pub metrics: Registry,
     /// Non-empty epochs the runtime executed.
     pub epochs: u64,
+    /// Of those, the epochs the runtime ran on its worker threads. Like
+    /// `workers` and `spare_events`, it describes the executor, not the
+    /// simulation, so it stays out of the CSV and the registry.
+    pub parallel_epochs: u64,
+    /// Spare work summed over the epochs with more than one active
+    /// shard: in each, the events of the active shards other than the
+    /// busiest, which a second thread could have taken. The runtime
+    /// counts it only when `workers` is above 1, and reads 0 otherwise.
+    pub spare_events: u64,
     /// Messages routed through the switch.
     pub messages: u64,
-    /// Worker threads actually used, the caller's included: the
+    /// The worker cap the runtime ran with, the caller's included: the
     /// requested count, clamped to the number of shards.
     pub workers: usize,
     /// Simulator events delivered across all shards — the denominator
@@ -370,6 +381,18 @@ impl ClusterResult {
 /// 65,536 streams or a stream has more than 65,536 threads per client
 /// (events carry both indices as `u16`).
 pub fn run_cluster(scenario: &ClusterScenario, streams: &[ClusterStream]) -> ClusterResult {
+    run_with_grain(scenario, streams, runtime::PARALLEL_GRAIN)
+}
+
+/// [`run_cluster`] with the runtime's parallel grain set to `grain`
+/// spare events per epoch. At zero every epoch with more than one active
+/// shard runs on the workers, which lets tests drive the parallel path
+/// on racks too small to choose it.
+pub(crate) fn run_with_grain(
+    scenario: &ClusterScenario,
+    streams: &[ClusterStream],
+    grain: u64,
+) -> ClusterResult {
     let window = measured_window(scenario.warmup, scenario.duration);
     let n_clients = scenario.cluster.clients.len();
     let n_servers = scenario.cluster.servers.len();
@@ -601,7 +624,7 @@ pub fn run_cluster(scenario: &ClusterScenario, streams: &[ClusterStream]) -> Clu
         scenario.workers
     };
     let cells: Vec<Mutex<Shard>> = shards.into_iter().map(Mutex::new).collect();
-    let stats = runtime::drive(&cells, &mut switch, scenario.duration, workers);
+    let stats = runtime::drive(&cells, &mut switch, scenario.duration, workers, grain);
     let shards: Vec<Shard> = cells
         .into_iter()
         .map(|c| c.into_inner().expect("no shard panicked"))
@@ -750,6 +773,8 @@ pub fn run_cluster(scenario: &ClusterScenario, streams: &[ClusterStream]) -> Clu
         window,
         metrics: registry,
         epochs: stats.epochs,
+        parallel_epochs: stats.parallel_epochs,
+        spare_events: stats.spare,
         messages: switch.routed(),
         workers: stats.workers,
         events: shards.iter().map(|s| s.events_delivered()).sum(),

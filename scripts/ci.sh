@@ -118,9 +118,9 @@ fi
 # hand a shard's panic to the caller. The outbox oracle drives the
 # shipped outbox push and due-prefix take against an ordered map; the
 # should-panic test pins the push's check that departures never
-# decrease; the two panic tests pin the gate and run_cluster at one and
-# two workers. Run the four by name and refuse a run where the filters
-# matched anything else.
+# decrease; the two panic tests pin the gate, and run_cluster at one
+# worker and at two with every multi-shard epoch on the workers. Run the
+# four by name and refuse a run where the filters matched anything else.
 rt_out=$(cargo test --release --offline -p snic-cluster --lib -- \
     outboxes_release_messages_in_ordered_map_order \
     an_outbox_rejects_a_departure_before_its_last \
@@ -135,6 +135,32 @@ if ! grep -q "ok. 4 passed" <<<"$rt_out"; then
         "runtime::tests::an_outbox_rejects_a_departure_before_its_last +" \
         "runtime::tests::gate_re_raises_a_worker_panic_on_the_driver +" \
         "runtime::tests::a_worker_panic_reaches_the_caller (filtered out or renamed?)" >&2
+    exit 1
+fi
+
+# The runtime's executor rule: the seven invariance families rerun in
+# snic-cluster with the parallel grain forced to zero, so every
+# multi-shard epoch runs on the workers at 2, 3 and 8 workers and must
+# match one worker byte for byte; the rule's window against a start-up
+# burst, sustained spare work and spare work at the grain; and the
+# paper's rack under the benchmark's verb streams, which must run no
+# parallel epoch. Run the eleven by name and refuse a run where the
+# filters matched anything else.
+par_out=$(cargo test --release --offline -p snic-cluster --lib -- \
+    forced_parallel_invariance the_paper_racks_verb_streams_run_no_parallel_epoch \
+    a_start_up_burst_does_not_switch_the_window sustained_spare_work_switches_the_window \
+    hysteresis_holds_near_the_grain 2>&1) || {
+    echo "$par_out"
+    echo "ci.sh: rack executor rule tests FAILED" >&2
+    exit 1
+}
+if ! grep -q "ok. 11 passed" <<<"$par_out"; then
+    echo "$par_out"
+    echo "ci.sh: expected exactly the seven parallel_tests::forced_parallel_invariance* tests +" \
+        "parallel_tests::the_paper_racks_verb_streams_run_no_parallel_epoch +" \
+        "runtime::tests::a_start_up_burst_does_not_switch_the_window +" \
+        "runtime::tests::sustained_spare_work_switches_the_window +" \
+        "runtime::tests::hysteresis_holds_near_the_grain (filtered out or renamed?)" >&2
     exit 1
 fi
 
@@ -154,11 +180,14 @@ if ! grep -q "ok. 1 passed" <<<"$dma_out"; then
 fi
 
 # Smoke the README's first example (harness latency on paths 1 and 2,
-# then the advisor), the cluster runtime end to end through its example,
+# then the advisor), the cluster runtime end to end through its example
+# and its scaled-rack sweep (which also checks one- and two-worker
+# results are identical),
 # and the fault-injection, open-loop, KV-service, far-memory and BF-3
 # DPA sweeps through the figure runner.
 cargo run --release --offline -p offpath-smartnic --example quickstart
 cargo run --release --offline -p offpath-smartnic --example incast -- --quick
+cargo run --release --offline -p offpath-smartnic --example rack_scaling -- --quick
 cargo run --release --offline -p snic-bench --bin run_all -- --only 15 --quick
 cargo run --release --offline -p snic-bench --bin run_all -- --only 16 --quick
 cargo run --release --offline -p snic-bench --bin run_all -- --only 17 --quick
@@ -186,4 +215,4 @@ for workload in rack_verbs rack_services harness_sweep; do
     fi
 done
 
-echo "ci.sh: build + tests + fmt + clippy (workspace and snicbench) + rustdoc + cluster determinism + golden digests + LLC oracle and width tests (lockstep_matches_per_line_oracle, repeated_receive_buffer_write_on_xeon, runs_match_per_line_oracle, narrow_tags_widen_in_place, tag_storage_is_allocated_per_touched_chunk) + scheduler and primitive oracles (engine_matches_baseline_across_the_deque_threshold, from_nanos_f64_matches_round, multiserver_matches_heap_model, pipe_memo_matches_uncached_service, zipf_guide_matches_the_searches, probes_match_linear_probing_model, index_matches_hashmap_oracle) + rack runtime oracles (outboxes_release_messages_in_ordered_map_order, an_outbox_rejects_a_departure_before_its_last, gate_re_raises_a_worker_panic_on_the_driver, a_worker_panic_reaches_the_caller) + DMA-leg digest (dma_legs_match_recorded_digest) + quickstart example + Figure-1 table and KV examples + benchmark smoke all green (offline)"
+echo "ci.sh: build + tests + fmt + clippy (workspace and snicbench) + rustdoc + cluster determinism + golden digests + LLC oracle and width tests (lockstep_matches_per_line_oracle, repeated_receive_buffer_write_on_xeon, runs_match_per_line_oracle, narrow_tags_widen_in_place, tag_storage_is_allocated_per_touched_chunk) + scheduler and primitive oracles (engine_matches_baseline_across_the_deque_threshold, from_nanos_f64_matches_round, multiserver_matches_heap_model, pipe_memo_matches_uncached_service, zipf_guide_matches_the_searches, probes_match_linear_probing_model, index_matches_hashmap_oracle) + rack runtime oracles (outboxes_release_messages_in_ordered_map_order, an_outbox_rejects_a_departure_before_its_last, gate_re_raises_a_worker_panic_on_the_driver, a_worker_panic_reaches_the_caller) + rack executor rule (forced_parallel_invariance x7, the_paper_racks_verb_streams_run_no_parallel_epoch, a_start_up_burst_does_not_switch_the_window, sustained_spare_work_switches_the_window, hysteresis_holds_near_the_grain) + DMA-leg digest (dma_legs_match_recorded_digest) + quickstart and rack_scaling examples + Figure-1 table and KV examples + benchmark smoke all green (offline)"

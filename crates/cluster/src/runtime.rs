@@ -92,10 +92,11 @@ pub(crate) struct RunStats {
 
 /// Spare work per multi-shard epoch, in events, from which running the
 /// epoch on the workers pays for its gate round and for the slower runs
-/// of shards on another core. Derived from `examples/rack_scaling.rs` on
-/// a 2-core Intel Xeon host (DESIGN.md §9): two workers lost to one at
-/// racks averaging 14–24 spare events per multi-shard epoch, broke even
-/// near 43 and won at 80.
+/// of shards on another core. Read off `examples/rack_scaling.rs` on a
+/// 2-vCPU Intel Xeon host (DESIGN.md §9): always-parallel at two workers
+/// cost 19% against one worker on a rack whose epochs held a median of
+/// 13 spare events, broke even at medians of 21 and 38, and saved 5% at
+/// 81. The grain sits at that break-even.
 pub(crate) const PARALLEL_GRAIN: u64 = 40;
 
 /// Votes of the last 32 multi-shard epochs (see [`Rule`]) that start

@@ -1,6 +1,6 @@
-//! Worker-count invariance on the parallel path. The integration tests'
-//! racks of 3–6 clients carry too little spare work for the runtime to
-//! choose its workers, so each scenario family of
+//! Worker-count invariance on the parallel path. Most of the integration
+//! tests' racks of 3–6 clients carry too little spare work for the
+//! runtime to choose its workers, so each scenario family of
 //! `tests/determinism.rs::cluster_worker_count_invariance*` and
 //! `tests/properties.rs::open_loop_conserves_ops` runs here again with
 //! the grain forced to zero, which puts every multi-shard epoch on the
@@ -9,8 +9,9 @@
 use nicsim::{PathKind, Verb};
 use simnet::arrivals::{DropPolicy, OpenLoopSpec};
 use simnet::faults::{DegradedWindow, FaultSpec};
-use simnet::rng::SimRng;
+use simnet::prop::check;
 use simnet::time::Nanos;
+use simnet::{prop_assert, prop_assert_eq};
 use snic_farmem::{FmPlacement, FmStreamSpec};
 use snic_kvstore::{KeyDist, Mix};
 use topology::MachineSpec;
@@ -21,13 +22,15 @@ use crate::scenario::{run_cluster, run_with_grain, ClusterResult, ClusterScenari
 /// Runs `streams` at one worker under the shipped rule, then at 2, 3
 /// and 8 workers with the grain forced to zero. Every forced run must
 /// run parallel epochs and match the one-worker run byte for byte.
+/// Shards are claimed dynamically, so which thread runs a shard changes
+/// from run to run: the two-worker case runs three times.
 fn forced_parallel_matches_one_worker(
     sc: &ClusterScenario,
     streams: &[ClusterStream],
 ) -> ClusterResult {
     let one = run_cluster(&sc.clone().with_workers(1), streams);
     assert_eq!(one.parallel_epochs, 0);
-    for n in [2, 3, 8] {
+    for n in [2, 2, 2, 3, 8] {
         let r = run_with_grain(&sc.clone().with_workers(n), streams, 0);
         assert!(r.parallel_epochs > 0, "no parallel epoch at {n} workers");
         assert_eq!(
@@ -155,35 +158,33 @@ fn forced_parallel_invariance_dpa() {
 
 #[test]
 fn forced_parallel_invariance_open_loop_conserves_ops() {
-    // One open-loop stream on three clients, its rate, drop policy, queue
-    // cap and payload drawn per case. Only the remote paths: a path-③
-    // stream runs on one shard and never has a multi-shard epoch.
-    let mut rng = SimRng::seed(0x0c0f_fee5);
-    for path in [
-        PathKind::Snic1,
-        PathKind::Snic2,
-        PathKind::Snic1,
-        PathKind::Snic2,
-    ] {
-        let policy = if rng.chance(0.5) {
+    // `open_loop_conserves_ops`' generator on the remote paths only: a
+    // path-③ stream runs on one shard and never has a multi-shard epoch.
+    check("forced_parallel_invariance_open_loop_conserves_ops", |g| {
+        let paths = [PathKind::Snic1, PathKind::Snic2];
+        let path = paths[g.usize(0..paths.len())];
+        let rate = g.u64(1..40) as f64 * 1e6;
+        let policy = if g.u32(0..2) == 0 {
             DropPolicy::DropTail
         } else {
-            DropPolicy::DropDeadline(Nanos::from_micros(5 + rng.uniform_u64(45)))
+            DropPolicy::DropDeadline(Nanos::from_micros(g.u64(5..50)))
         };
-        let spec = OpenLoopSpec::poisson((1 + rng.uniform_u64(39)) as f64 * 1e6)
-            .with_queue_cap(4 + rng.index(252))
+        let spec = OpenLoopSpec::poisson(rate)
+            .with_queue_cap(g.usize(4..256))
             .with_policy(policy);
-        let mut sc = ClusterScenario::quick().with_seed(rng.uniform_u64(1_000_000));
+        let mut sc = ClusterScenario::quick().with_seed(g.u64(0..1_000_000));
         sc.cluster.clients.truncate(3);
         sc.warmup = Nanos::from_micros(50);
         sc.duration = Nanos::from_micros(300);
-        let bytes = 1 + rng.uniform_u64(4095);
-        let streams = [ClusterStream::new(path, Verb::Write, bytes, vec![0, 1, 2]).open_loop(spec)];
+        let streams = [
+            ClusterStream::new(path, Verb::Write, g.u64(1..4096), vec![0, 1, 2]).open_loop(spec),
+        ];
         let r = forced_parallel_matches_one_worker(&sc, &streams);
         let s = &r.streams[0];
-        assert!(s.generated > 0, "no arrivals generated");
-        assert_eq!(s.generated, s.completed_total + s.dropped + s.inflight);
-    }
+        prop_assert!(s.generated > 0, "no arrivals generated");
+        prop_assert_eq!(s.generated, s.completed_total + s.dropped + s.inflight);
+        Ok(())
+    });
 }
 
 #[test]

@@ -40,9 +40,10 @@
 //! the workers only while a [`Rule`] over the last 32 multi-shard epochs
 //! says that their *spare work* — the events the active shards other
 //! than the busiest handled, which a second thread could take while the
-//! driver runs the busiest — clears [`PARALLEL_GRAIN`]. At one worker no
-//! rule runs. Which executor runs an epoch never shows in the results,
-//! for the same reason the worker count does not.
+//! driver runs the busiest — clears [`PARALLEL_GRAIN`]. The rule keeps
+//! its window at every cap; at one worker nothing reads it. Which
+//! executor runs an epoch never shows in the results, for the same
+//! reason the worker count does not.
 //!
 //! A parallel epoch goes through the gate: the driver publishes the
 //! epoch's active list, then it claims shards from the server end while
@@ -83,8 +84,7 @@ pub(crate) struct RunStats {
     pub epochs: u64,
     /// Of those, the epochs run on the worker threads.
     pub parallel_epochs: u64,
-    /// Spare work summed over the multi-shard epochs (see [`spare`]); 0
-    /// at one worker, where no rule runs.
+    /// Spare work summed over the multi-shard epochs (see [`spare`]).
     pub spare: u64,
     /// The worker cap the driver ran with, itself included.
     pub workers: usize,
@@ -94,10 +94,10 @@ pub(crate) struct RunStats {
 /// epoch on the workers pays for its gate round and for the slower runs
 /// of shards on another core. Read off `examples/rack_scaling.rs` on a
 /// 2-vCPU Intel Xeon host (DESIGN.md §9): always-parallel at two workers
-/// cost 19% against one worker on a rack whose epochs held a median of
-/// 13 spare events, broke even at medians of 21 and 38, and saved 5% at
-/// 81. The grain sits at that break-even.
-pub(crate) const PARALLEL_GRAIN: u64 = 40;
+/// against one worker cost 22% and 8% on racks whose epochs held a
+/// median of 13 and 21 spare events, broke even at 29 and saved 3–14%
+/// from 38 up. The grain sits at that break-even.
+pub(crate) const PARALLEL_GRAIN: u64 = 30;
 
 /// Votes of the last 32 multi-shard epochs (see [`Rule`]) that start
 /// parallel epochs, and below which they stop.
@@ -462,25 +462,24 @@ pub(crate) fn drive(
     for (i, cell) in cells.iter().enumerate() {
         refresh_cache(&cache[i], &fronts[i], &cell.lock().expect(UNPOISONED));
     }
-    // Events each shard handled in its last multi-shard epoch, stored
-    // `Relaxed` and read by the driver after the gate's `remaining`
-    // count, like the cache.
+    // Events each shard handled in its last run, stored `Relaxed` and
+    // read by the driver after the gate's `remaining` count, like the
+    // cache.
     let ran: Vec<AtomicU64> = cells.iter().map(|_| AtomicU64::new(0)).collect();
     let mut active: Vec<usize> = Vec::with_capacity(cells.len());
     let mut due: Vec<NetMsg> = Vec::new();
     let mut arrivals = Arrivals::new(cells.len());
 
     // Runs shard `i` to the end of the epoch ending at `end` (exclusive)
-    // and returns the events it handled.
+    // and records the events it handled.
     let run = |i: usize, end: u64| {
         let mut shard = cells[i].lock().expect(UNPOISONED);
         let before = shard.events_delivered();
         shard.run_until(Nanos::new(end - 1));
         refresh_cache(&cache[i], &fronts[i], &shard);
-        shard.events_delivered() - before
+        ran[i].store(shard.events_delivered() - before, Ordering::Relaxed);
     };
-    let record = |i: usize, end: u64| ran[i].store(run(i, end), Ordering::Relaxed);
-    let mut rule = (workers > 1).then(|| Rule::new(grain));
+    let mut rule = Rule::new(grain);
     let gate = OnceCell::new();
     thread::scope(|scope| {
         let mut crew = None;
@@ -495,27 +494,21 @@ pub(crate) fn drive(
             // runs a shard.
             active.clear();
             active.extend((0..cells.len()).filter(|&i| cache[i].load(Ordering::Relaxed) < end));
-            match rule.as_mut() {
-                Some(rule) if active.len() > 1 => {
-                    if rule.parallel {
-                        let gate = gate.get_or_init(|| Gate::new(cells.len(), workers));
-                        crew.get_or_insert_with(|| Crew::spawn(scope, gate, workers - 1, &record))
-                            .run_epoch(&active, end, &record);
-                        parallel_epochs += 1;
-                    } else {
-                        for &i in &active {
-                            record(i, end);
-                        }
-                    }
-                    let spare = spare(&active, &ran);
-                    spare_sum += spare;
-                    rule.record(spare);
+            let multi = active.len() > 1;
+            if multi && workers > 1 && rule.parallel {
+                let gate = gate.get_or_init(|| Gate::new(cells.len(), workers));
+                crew.get_or_insert_with(|| Crew::spawn(scope, gate, workers - 1, &run))
+                    .run_epoch(&active, end, &run);
+                parallel_epochs += 1;
+            } else {
+                for &i in &active {
+                    run(i, end);
                 }
-                _ => {
-                    for &i in &active {
-                        run(i, end);
-                    }
-                }
+            }
+            if multi {
+                let spare = spare(&active, &ran);
+                spare_sum += spare;
+                rule.record(spare);
             }
             merge(
                 cells,

@@ -310,8 +310,8 @@ pub struct ClusterResult {
     pub parallel_epochs: u64,
     /// Spare work summed over the epochs with more than one active
     /// shard: in each, the events of the active shards other than the
-    /// busiest, which a second thread could have taken. The runtime
-    /// counts it only when `workers` is above 1, and reads 0 otherwise.
+    /// busiest, which a second thread could have taken. It is the same
+    /// at every worker cap.
     pub spare_events: u64,
     /// Messages routed through the switch.
     pub messages: u64,

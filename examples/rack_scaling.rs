@@ -72,7 +72,7 @@ fn main() {
     let (scales, duration, runs): (&[usize], _, _) = if quick {
         (&[1, 2], Nanos::from_micros(300), 3)
     } else {
-        (&[1, 2, 4, 8], Nanos::from_millis(1), 7)
+        (&[1, 2, 3, 4, 8, 16], Nanos::from_millis(1), 7)
     };
     println!(
         "{:>2} {:>7} {:>7} {:>7} {:>14} {:>13} {:>15} {:>9} {:>9} {:>6}",

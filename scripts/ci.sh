@@ -140,8 +140,9 @@ fi
 
 # The runtime's executor rule: the seven invariance families rerun in
 # snic-cluster with the parallel grain forced to zero, so every
-# multi-shard epoch runs on the workers at 2, 3 and 8 workers and must
-# match one worker byte for byte; the rule's window against a start-up
+# multi-shard epoch runs on the workers at 2 (three times), 3 and 8
+# workers and must match one worker byte for byte (the open-loop family
+# as a 64-case property); the rule's window against a start-up
 # burst, sustained spare work and spare work at the grain; and the
 # paper's rack under the benchmark's verb streams, which must run no
 # parallel epoch. Run the eleven by name and refuse a run where the

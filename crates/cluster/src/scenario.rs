@@ -12,16 +12,16 @@ use simnet::arrivals::{AdmissionQueue, OpenLoopSpec};
 use simnet::faults::FaultSpec;
 use simnet::metrics::Registry;
 use simnet::rng::SimRng;
-use simnet::stats::{Histogram, LatencySummary};
+use simnet::stats::LatencySummary;
 use simnet::time::{measured_window, Bandwidth, Nanos, Rate};
 use snic_farmem::{FmPlacement, FmStreamSpec};
 use snic_kvstore::Design;
-use topology::ClusterSpec;
+use topology::{ClusterSpec, MachineSpec};
 
 use crate::fm::{FmHost, FmServer};
 use crate::kv::{KvPlacement, KvServer, KvStreamSpec};
 use crate::runtime;
-use crate::shard::{Outbox, Shard, ShardCounters, StreamZipfs};
+use crate::shard::{Outbox, Shard, ShardCounters, StreamAgg, StreamZipfs};
 use crate::switch::SwitchFabric;
 
 /// One cluster-wide load stream: requester threads on a set of client
@@ -373,15 +373,117 @@ impl ClusterResult {
 ///
 /// # Panics
 ///
-/// Panics if the warmup ends after the run, the scenario names a
-/// missing server, a stream references a missing client machine (or
-/// lists none for a remote path), a SmartNIC path targets a server
-/// without a SmartNIC, a KV placement other than host RPC or
-/// one-sided READs meets a server without one, or there are more than
-/// 65,536 streams or a stream has more than 65,536 threads per client
-/// (events carry both indices as `u16`).
+/// Checks the input before it builds any machine, and panics if:
+///
+/// - the warmup ends after the run, or the scenario names a missing
+///   server;
+/// - a KV placement other than host RPC or one-sided READs, or a
+///   far-memory pool, meets a server without a SmartNIC;
+/// - there are more than 65,536 streams, or a stream has more than
+///   65,536 threads per client (events carry both indices as `u16`);
+/// - a SmartNIC path targets a server without a SmartNIC;
+/// - a remote stream lists no client machines, references a missing one
+///   or lists one twice, or a KV stream runs on a local path;
+/// - there is more than one KV stream or more than one far-memory
+///   stream.
+///
+/// A DPA stream on a server without a DPA plane panics later, in the
+/// server's shard, when the plane first serves.
 pub fn run_cluster(scenario: &ClusterScenario, streams: &[ClusterStream]) -> ClusterResult {
     run_with_grain(scenario, streams, runtime::PARALLEL_GRAIN)
+}
+
+impl ClusterScenario {
+    /// Runs every check [`run_cluster`] documents, in that order, and
+    /// returns the measured window.
+    fn validate(&self, streams: &[ClusterStream]) -> Nanos {
+        let window = measured_window(self.warmup, self.duration);
+        let (clients, servers) = (&self.cluster.clients, &self.cluster.servers);
+        assert!(
+            self.server < servers.len(),
+            "scenario targets server {} but the cluster has {}",
+            self.server,
+            servers.len()
+        );
+        // The KV service and the far-memory pool span every server. A
+        // plain RNIC serves only the KV placements that touch no SoC or
+        // DPA (host RPC and one-sided READs), and no pool.
+        for st in streams {
+            let (service, needs) = if st.kv.is_some_and(|k| !host_only(k.placement)) {
+                ("KV", "places its index off the host")
+            } else if st.farmem.is_some() {
+                ("far-memory", "pools its pages on every server's SoC")
+            } else {
+                continue;
+            };
+            if let Some(j) = servers.iter().position(|m| m.nic.smartnic().is_none()) {
+                panic!(
+                    "{service} stream '{}' {needs}, which needs a SmartNIC on server {j}",
+                    st.label
+                );
+            }
+        }
+        for (si, stream) in streams.iter().enumerate() {
+            // Rack events carry stream and thread indices as `u16`.
+            assert!(
+                si < 1 << 16,
+                "stream '{}' is stream {si}, but rack events index at most 65536 streams",
+                stream.label
+            );
+            assert!(
+                stream.threads_per_client <= 1 << 16,
+                "stream '{}' has {} threads per client, but rack events index at most 65536",
+                stream.label,
+                stream.threads_per_client
+            );
+            // KV streams fan out over every server; the check above
+            // covers them.
+            if stream.path.on_smartnic() && stream.kv.is_none() {
+                assert!(
+                    servers[self.server].nic.smartnic().is_some(),
+                    "stream '{}' needs a SmartNIC on server {}",
+                    stream.label,
+                    self.server
+                );
+            }
+            if stream.path.is_remote() {
+                assert!(
+                    !stream.clients.is_empty(),
+                    "remote stream '{}' lists no client machines",
+                    stream.label
+                );
+                for (k, &ci) in stream.clients.iter().enumerate() {
+                    assert!(
+                        ci < clients.len(),
+                        "stream '{}' references missing client {ci}",
+                        stream.label
+                    );
+                    assert!(
+                        !stream.clients[..k].contains(&ci),
+                        "stream '{}' lists client {ci} twice",
+                        stream.label
+                    );
+                }
+            } else {
+                assert!(
+                    stream.kv.is_none(),
+                    "KV stream '{}' must list client machines",
+                    stream.label
+                );
+            }
+        }
+        let kv_streams = streams.iter().filter(|s| s.kv.is_some()).count();
+        assert!(
+            kv_streams <= 1,
+            "at most one KV service stream per run (got {kv_streams})"
+        );
+        let fm_streams = streams.iter().filter(|s| s.farmem.is_some()).count();
+        assert!(
+            fm_streams <= 1,
+            "at most one far-memory stream per run (got {fm_streams})"
+        );
+        window
+    }
 }
 
 /// [`run_cluster`] with the runtime's parallel grain set to `grain`
@@ -393,42 +495,18 @@ pub(crate) fn run_with_grain(
     streams: &[ClusterStream],
     grain: u64,
 ) -> ClusterResult {
-    let window = measured_window(scenario.warmup, scenario.duration);
-    let n_clients = scenario.cluster.clients.len();
-    let n_servers = scenario.cluster.servers.len();
-    assert!(
-        scenario.server < n_servers,
-        "scenario targets server {} but the cluster has {n_servers}",
-        scenario.server
-    );
-    // The KV service spans every server. A plain RNIC can serve only the
-    // placements that touch no SoC or DPA: host RPC and one-sided READs.
-    for st in streams
-        .iter()
-        .filter(|s| s.kv.is_some_and(|k| !host_only(k.placement)))
-    {
-        for (j, m) in scenario.cluster.servers.iter().enumerate() {
-            assert!(
-                m.nic.smartnic().is_some(),
-                "KV stream '{}' places its index off the host, which needs a SmartNIC on server {j}",
-                st.label
-            );
-        }
-    }
+    let window = scenario.validate(streams);
+    let (clients, servers) = (&scenario.cluster.clients, &scenario.cluster.servers);
+    let (n_clients, n_servers) = (clients.len(), servers.len());
     let server_shard = n_clients + scenario.server;
     let n_shards = n_clients + n_servers;
-
-    let nic_bws: Vec<Bandwidth> = scenario
-        .cluster
-        .clients
+    let nic_bws: Vec<Bandwidth> = clients
         .iter()
-        .chain(scenario.cluster.servers.iter())
+        .chain(servers)
         .map(|m| m.nic.nic().network_bw)
         .collect();
     let mut switch = SwitchFabric::new(&scenario.cluster.wire, &nic_bws);
     switch.set_faults(scenario.faults.clone());
-    let wire_faulty = scenario.faults.wire_loss > 0.0;
-    let any_stochastic = wire_faulty || scenario.faults.pcie_corrupt > 0.0;
 
     // Every shard's RNG is forked from the root by shard index, so the
     // stream of random numbers a shard sees is independent of how many
@@ -436,109 +514,58 @@ pub(crate) fn run_with_grain(
     let mut root = SimRng::seed(scenario.seed);
     let mut shard_rngs: Vec<SimRng> = (0..n_shards).map(|i| root.fork(i as u64)).collect();
 
-    let mut shards: Vec<Shard> = Vec::with_capacity(n_shards);
-    for (i, m) in scenario.cluster.clients.iter().enumerate() {
-        shards.push(Shard::new_client(
-            i,
-            ClientMachine::new(*m),
-            server_shard,
-            streams.len(),
-            scenario.warmup,
-            scenario.duration,
-        ));
-    }
-    for (j, m) in scenario.cluster.servers.iter().enumerate() {
-        shards.push(Shard::new_server(
-            n_clients + j,
-            Fabric::new(*m, 0, scenario.cluster.wire),
-            streams.len(),
-            scenario.warmup,
-            scenario.duration,
-        ));
-    }
     // Arm transport recovery only where loss is possible: clients need
     // wire timeouts; server shards retry path-3 attempts synchronously
     // whenever any stochastic fault can fail one. Fault-free runs arm
     // nothing, keeping their event schedule untouched.
-    for (i, shard) in shards.iter_mut().enumerate() {
-        let is_server = i >= n_clients;
-        if (is_server && any_stochastic) || (!is_server && wire_faulty) {
+    let wire_faulty = scenario.faults.wire_loss > 0.0;
+    let any_stochastic = wire_faulty || scenario.faults.pcie_corrupt > 0.0;
+    let (n_streams, from, to) = (streams.len(), scenario.warmup, scenario.duration);
+    let mut shards: Vec<Shard> = Vec::with_capacity(n_shards);
+    for (i, m) in clients.iter().enumerate() {
+        let machine = ClientMachine::new(*m);
+        let mut shard = Shard::new_client(i, machine, server_shard, n_streams, from, to);
+        if wire_faulty {
             shard.set_retry(scenario.rc_timeout, scenario.rc_retry);
         }
-        if is_server {
-            shard.set_faults(scenario.faults.clone());
+        shards.push(shard);
+    }
+    for (j, m) in servers.iter().enumerate() {
+        let fabric = Fabric::new(*m, 0, scenario.cluster.wire);
+        let mut shard = Shard::new_server(n_clients + j, fabric, n_streams, from, to);
+        if any_stochastic {
+            shard.set_retry(scenario.rc_timeout, scenario.rc_retry);
         }
+        shard.set_faults(scenario.faults.clone());
+        shards.push(shard);
     }
 
     for (si, stream) in streams.iter().enumerate() {
-        // Rack events carry stream and thread indices as `u16`.
-        assert!(
-            si < 1 << 16,
-            "stream '{}' is stream {si}, but rack events index at most 65536 streams",
-            stream.label
-        );
-        assert!(
-            stream.threads_per_client <= 1 << 16,
-            "stream '{}' has {} threads per client, but rack events index at most 65536",
-            stream.label,
-            stream.threads_per_client
-        );
         let zipfs = StreamZipfs::new(stream);
-        // KV streams fan out over every server; the entry check above
-        // covers them.
-        if stream.path.on_smartnic() && stream.kv.is_none() {
-            assert!(
-                scenario.cluster.servers[scenario.server]
-                    .nic
-                    .smartnic()
-                    .is_some(),
-                "stream '{}' needs a SmartNIC on server {}",
-                stream.label,
-                scenario.server
-            );
-        }
-        if stream.path.is_remote() {
-            assert!(
-                !stream.clients.is_empty(),
-                "remote stream '{}' lists no client machines",
-                stream.label
-            );
-            for &ci in &stream.clients {
-                assert!(
-                    ci < n_clients,
-                    "stream '{}' references missing client {ci}",
-                    stream.label
-                );
-                let cost = PostCostModel::new(&scenario.cluster.clients[ci], PosterKind::Client)
-                    .cpu_time_per_request(stream.post_mode);
-                shards[ci].install_stream(
-                    si,
-                    stream,
-                    &zipfs,
-                    cost,
-                    &mut shard_rngs[ci],
-                    // Each client machine offers an even share of the
-                    // stream's total load.
-                    stream.open.as_ref().map(|o| o.share(stream.clients.len())),
-                    (n_clients, n_servers),
-                );
-            }
+        // A remote stream runs on its client machines, each offering an
+        // even share of the stream's total load; a local one runs on the
+        // responder.
+        let (hosts, open) = if stream.path.is_remote() {
+            let share = stream.open.as_ref().map(|o| o.share(stream.clients.len()));
+            (&stream.clients[..], share)
         } else {
-            assert!(
-                stream.kv.is_none(),
-                "KV stream '{}' must list client machines",
-                stream.label
-            );
-            let poster = PosterKind::for_path(stream.path);
-            let cost = PostCostModel::new(&scenario.cluster.servers[scenario.server], poster)
-                .cpu_time_per_request(stream.post_mode);
-            shards[server_shard].install_stream(
+            (std::slice::from_ref(&server_shard), stream.open.clone())
+        };
+        let poster = PosterKind::for_path(stream.path);
+        for &i in hosts {
+            let m = if i < n_clients {
+                &clients[i]
+            } else {
+                &servers[scenario.server]
+            };
+            let cost = PostCostModel::new(m, poster).cpu_time_per_request(stream.post_mode);
+            shards[i].install_stream(
                 si,
                 stream,
                 &zipfs,
                 cost,
-                &mut shard_rngs[server_shard],
-                stream.open.clone(),
+                &mut shard_rngs[i],
+                open.clone(),
                 (n_clients, n_servers),
             );
         }
@@ -554,65 +581,24 @@ pub(crate) fn run_with_grain(
             }
         }
     }
-    // The KV service spans every server machine: each gets its key
-    // subset, its (scarce) host serving cores and its SoC pool, plus —
-    // for online placement — its own epoch-decision chain. Service
-    // times carry the posting polarity of the responding side: host
-    // cores answer with MMIO posts, SoC cores batch behind a doorbell.
-    let kv_streams: Vec<usize> = streams
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.kv.is_some())
-        .map(|(si, _)| si)
-        .collect();
-    assert!(
-        kv_streams.len() <= 1,
-        "at most one KV service stream per run (got {})",
-        kv_streams.len()
-    );
-    if let Some(&si) = kv_streams.first() {
-        let spec = streams[si].kv.as_ref().expect("filtered on kv");
-        for (j, m) in scenario.cluster.servers.iter().enumerate() {
+    // The KV service and the far-memory pool span every server machine.
+    // Each server gets its key subset, its (scarce) host serving cores
+    // and its SoC pool, plus, for online placement, its own
+    // epoch-decision chain. Remote far-memory streams hash global pages
+    // across every server's SoC; the local stream only touches the
+    // responder's, but installing the pool uniformly keeps one code path.
+    // Host cores answer with MMIO posts, SoC cores behind a doorbell.
+    let kv = streams.iter().find_map(|s| s.kv.as_ref());
+    let fm = streams.iter().find_map(|s| s.farmem.as_ref());
+    for (j, m) in servers.iter().enumerate() {
+        let shard = &mut shards[n_clients + j];
+        if let Some(spec) = kv {
             let host_svc = m.host.cpu.msg_handle_time
                 + PostCostModel::new(m, PosterKind::HostCpu).cpu_time_per_request(PostMode::Mmio);
-            // Without a SmartNIC the placement never reaches a SoC core
-            // (checked at entry), so the SoC service time goes unread.
-            let soc_svc = m.nic.smartnic().map_or(Nanos::ZERO, |soc| {
-                let post = PostCostModel::new(m, PosterKind::SocCore)
-                    .cpu_time_per_request(PostMode::Doorbell(32));
-                soc.soc.msg_handle_time + post
-            });
-            shards[n_clients + j]
-                .install_kv_server(KvServer::new(spec, j, n_servers, host_svc, soc_svc));
+            shard.install_kv_server(KvServer::new(spec, j, n_servers, host_svc, soc_service(m)));
         }
-    }
-    // The far-memory pool likewise spans every server machine's SoC:
-    // remote streams hash global pages across all of them; the local
-    // stream only ever touches the responder's, but installing the pool
-    // uniformly keeps one code path. SoC cores answer behind a
-    // doorbell batch, like the KV SoC index.
-    let fm_streams: Vec<usize> = streams
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.farmem.is_some())
-        .map(|(si, _)| si)
-        .collect();
-    assert!(
-        fm_streams.len() <= 1,
-        "at most one far-memory stream per run (got {})",
-        fm_streams.len()
-    );
-    if let Some(&si) = fm_streams.first() {
-        let spec = streams[si].farmem.as_ref().expect("filtered on farmem");
-        for (j, m) in scenario.cluster.servers.iter().enumerate() {
-            let soc = m
-                .nic
-                .smartnic()
-                .expect("the far-memory pool needs SmartNIC-carrying servers");
-            let svc = soc.soc.msg_handle_time
-                + PostCostModel::new(m, PosterKind::SocCore)
-                    .cpu_time_per_request(PostMode::Doorbell(32));
-            shards[n_clients + j].install_fm_server(FmServer::new(spec, svc));
+        if let Some(spec) = fm {
+            shard.install_fm_server(FmServer::new(spec, soc_service(m)));
         }
     }
 
@@ -642,37 +628,22 @@ pub(crate) fn run_with_grain(
         .iter()
         .enumerate()
         .map(|(si, stream)| {
-            let mut hist = Histogram::new();
-            let mut ops = 0u64;
-            let mut bytes = 0u64;
-            let mut generated = 0u64;
-            let mut dropped = 0u64;
-            let mut inflight = 0u64;
-            let mut completed_total = 0u64;
-            let mut excess_ns = 0u64;
+            let mut a = StreamAgg::default();
             for shard in &shards {
-                let a = shard.agg(si);
-                hist.merge(&a.hist);
-                ops += a.ops;
-                bytes += a.bytes;
-                generated += a.generated;
-                dropped += a.dropped;
-                inflight += a.outstanding;
-                completed_total += a.total_completed;
-                excess_ns += a.excess_ns;
+                a.merge(shard.agg(si));
             }
             ClusterStreamResult {
                 label: stream.label.clone(),
-                latency: hist.summary(),
-                ops: Rate::over(ops, window),
-                goodput: Bandwidth::over(bytes, window),
-                completions: ops,
+                latency: a.hist.summary(),
+                ops: Rate::over(a.ops, window),
+                goodput: Bandwidth::over(a.bytes, window),
+                completions: a.ops,
                 offered: Rate::per_sec(stream.open.as_ref().map_or(0.0, |o| o.offered_per_sec())),
-                generated,
-                dropped,
-                inflight,
-                completed_total,
-                excess_ns,
+                generated: a.generated,
+                dropped: a.dropped,
+                inflight: a.outstanding,
+                completed_total: a.total_completed,
+                excess_ns: a.excess_ns,
             }
         })
         .collect();
@@ -781,6 +752,17 @@ pub(crate) fn run_with_grain(
     }
 }
 
+/// The service time of one request on `m`'s SoC cores: the handler plus
+/// a reply posted behind a doorbell batch. Zero without a SmartNIC, where
+/// `validate` lets no SoC serve.
+fn soc_service(m: &MachineSpec) -> Nanos {
+    m.nic.smartnic().map_or(Nanos::ZERO, |snic| {
+        snic.soc.msg_handle_time
+            + PostCostModel::new(m, PosterKind::SocCore)
+                .cpu_time_per_request(PostMode::Doorbell(32))
+    })
+}
+
 /// Whether a KV placement serves from host memory alone, so a server
 /// without a SmartNIC can run it.
 fn host_only(placement: KvPlacement) -> bool {
@@ -795,7 +777,6 @@ mod tests {
     use super::*;
     use crate::kv::advisor_policy;
     use snic_kvstore::{KeyDist, Mix};
-    use topology::MachineSpec;
 
     fn tiny() -> ClusterScenario {
         let mut sc = ClusterScenario::quick();
@@ -1168,6 +1149,28 @@ mod tests {
         let sc = tiny();
         let st = ClusterStream::new(PathKind::Snic1, Verb::Read, 64, vec![99]);
         run_cluster(&sc, &[st]);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "far-memory stream 'fm-remote' pools its pages on every server's SoC, \
+                    which needs a SmartNIC on server 1"
+    )]
+    fn farmem_pool_rejects_an_rnic_server() {
+        // The responder carries a SmartNIC, so only the pool's check
+        // sees the plain RNIC on server 1.
+        let mut sc = tiny();
+        sc.cluster.servers[1] = MachineSpec::srv_with_rnic();
+        let st =
+            ClusterStream::fm_service(FmStreamSpec::new(FmPlacement::RemoteSoc), vec![0, 1, 2]);
+        run_cluster(&sc, &[st]);
+    }
+
+    #[test]
+    #[should_panic(expected = "stream 'SNIC(1) READ' lists client 0 twice")]
+    fn duplicate_client_is_rejected() {
+        let st = ClusterStream::new(PathKind::Snic1, Verb::Read, 64, vec![0, 1, 0]);
+        run_cluster(&tiny(), &[st]);
     }
 
     #[test]

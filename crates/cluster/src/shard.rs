@@ -112,6 +112,20 @@ pub(crate) struct StreamAgg {
     pub excess_ns: u64,
 }
 
+impl StreamAgg {
+    /// Folds another shard's aggregate of the same stream into this one.
+    pub(crate) fn merge(&mut self, other: &StreamAgg) {
+        self.hist.merge(&other.hist);
+        self.ops += other.ops;
+        self.bytes += other.bytes;
+        self.generated += other.generated;
+        self.dropped += other.dropped;
+        self.total_completed += other.total_completed;
+        self.outstanding += other.outstanding;
+        self.excess_ns += other.excess_ns;
+    }
+}
+
 /// Shard-local counters, merged into the result registry in shard order.
 #[derive(Default)]
 pub(crate) struct ShardCounters {
@@ -537,11 +551,6 @@ impl Shard {
     /// A KV stream's slice turns its posts into KV ops routed to each
     /// key's home server; a far-memory slice turns them into page
     /// accesses against this host's residency table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stream was already installed on this shard (a
-    /// duplicate client index in `ClusterStream::clients`).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn install_stream(
         &mut self,
@@ -553,11 +562,6 @@ impl Shard {
         open: Option<OpenLoopSpec>,
         (n_clients, n_servers): (usize, usize),
     ) {
-        assert!(
-            self.io.streams[idx].is_none(),
-            "stream {idx} installed twice on shard {} (duplicate client index?)",
-            self.io.id
-        );
         let n_threads = stream.threads_per_client;
         let mut open_rng = rng.fork(((idx as u64) << 32) | 0xA11);
         let threads = (0..n_threads)

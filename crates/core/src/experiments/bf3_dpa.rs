@@ -41,7 +41,7 @@ use crate::report::{fmt_bytes, fmt_f, Table};
 
 use nicsim::{PathKind, Verb};
 
-use super::scenario;
+use super::{cluster_scenario, scenario};
 
 /// Fault seed shared by every degraded regime (fixed for byte-stable
 /// tables).
@@ -261,11 +261,7 @@ pub fn kv_cases() -> Vec<DpaKvCase> {
 
 /// Cluster scenario with every server carrying `machine`.
 fn kv_scenario(quick: bool, machine: MachineSpec) -> ClusterScenario {
-    let mut sc = if quick {
-        ClusterScenario::quick()
-    } else {
-        ClusterScenario::paper_testbed()
-    };
+    let mut sc = cluster_scenario(quick);
     let n = sc.cluster.servers.len();
     sc.cluster.servers = vec![machine; n];
     sc

@@ -40,6 +40,8 @@ use snic_farmem::{FmPlacement, FmStreamSpec, FM_HOST_HIT};
 
 use crate::report::{fmt_f, Table};
 
+use super::cluster_scenario;
+
 /// Client machines driving the remote placement (the local placement
 /// runs on the responder machine itself).
 const N_CLIENTS: usize = 6;
@@ -53,15 +55,6 @@ const OFFERED_PER_SEC: f64 = 2.0e6;
 /// Fixed per-miss penalty of the conventional backing store the SoC
 /// tier competes with (≈ a one-sided RDMA fetch to a far host).
 const MISS_PENALTY: Nanos = Nanos::from_micros(6);
-
-/// Cluster scenario for quick vs full runs.
-fn scenario(quick: bool) -> ClusterScenario {
-    if quick {
-        ClusterScenario::quick()
-    } else {
-        ClusterScenario::paper_testbed()
-    }
-}
 
 /// One access-pattern/fault regime of the frontier.
 pub struct FmCase {
@@ -132,7 +125,7 @@ pub fn point(quick: bool, case: &FmCase, placement: FmPlacement) -> ClusterResul
 
 /// Runs one regime point with an explicit spec (cache sweeps).
 pub fn point_with_spec(quick: bool, case: &FmCase, spec: FmStreamSpec) -> ClusterResult {
-    point_on(&scenario(quick), case, spec)
+    point_on(&cluster_scenario(quick), case, spec)
 }
 
 /// Runs one regime point on an explicit base scenario (the BlueField-3

@@ -14,16 +14,10 @@ use snic_cluster::{run_cluster, ClusterScenario, ClusterStream};
 
 use crate::report::{fmt_f, Table};
 
+use super::cluster_scenario;
+
 /// Flow payload used by the paper.
 const PAYLOAD: u64 = 4 << 10;
-
-fn cluster_scenario(quick: bool) -> ClusterScenario {
-    if quick {
-        ClusterScenario::quick()
-    } else {
-        ClusterScenario::paper_testbed()
-    }
-}
 
 fn combo(sc: &ClusterScenario, path: PathKind, va: Verb, vb: Verb) -> f64 {
     let (clients_a, clients_b) = if path.is_remote() {

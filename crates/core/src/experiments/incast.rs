@@ -10,9 +10,11 @@
 //! single-machine harness has no switch ports to congest.
 
 use nicsim::{PathKind, Verb};
-use snic_cluster::{run_cluster, ClusterScenario, ClusterStream};
+use snic_cluster::{run_cluster, ClusterStream};
 
 use crate::report::{fmt_f, Table};
+
+use super::cluster_scenario;
 
 /// Request payload.
 const PAYLOAD: u64 = 4 << 10;
@@ -28,11 +30,7 @@ pub fn fan_in(quick: bool) -> Vec<usize> {
 
 /// One sweep point: `(goodput Gbps, Mops, p50 us, p99 us)`.
 pub fn point(quick: bool, n_clients: usize) -> (f64, f64, f64, f64) {
-    let sc = if quick {
-        ClusterScenario::quick()
-    } else {
-        ClusterScenario::paper_testbed()
-    };
+    let sc = cluster_scenario(quick);
     let stream = ClusterStream::new(
         PathKind::Snic1,
         Verb::Write,

@@ -31,12 +31,13 @@ use simnet::arrivals::OpenLoopSpec;
 use simnet::faults::FaultSpec;
 use simnet::time::Nanos;
 use snic_cluster::{
-    advisor_policy, run_cluster, ClusterResult, ClusterScenario, ClusterStream, KvPlacement,
-    KvStreamSpec,
+    advisor_policy, run_cluster, ClusterResult, ClusterStream, KvPlacement, KvStreamSpec,
 };
 use snic_kvstore::{Design, KeyDist, Mix};
 
 use crate::report::{fmt_f, Table};
+
+use super::cluster_scenario;
 
 /// Fault seed for the PCIe-fault regime (any value works; fixed for
 /// reproducibility).
@@ -44,15 +45,6 @@ const FAULT_SEED: u64 = 77;
 
 /// Client machines driving the service.
 const N_CLIENTS: usize = 6;
-
-/// Cluster scenario for quick vs full runs.
-fn scenario(quick: bool) -> ClusterScenario {
-    if quick {
-        ClusterScenario::quick()
-    } else {
-        ClusterScenario::paper_testbed()
-    }
-}
 
 /// One workload regime of the sweep.
 pub struct KvCase {
@@ -115,7 +107,7 @@ pub fn host_capacity_mops(quick: bool) -> f64 {
         KvPlacement::Static(Design::HostRpc),
     );
     let st = ClusterStream::kv_service(spec, (0..N_CLIENTS).collect());
-    let r = run_cluster(&scenario(quick), &[st]);
+    let r = run_cluster(&cluster_scenario(quick), &[st]);
     r.streams[0].ops.as_mops()
 }
 
@@ -124,7 +116,7 @@ pub fn point(quick: bool, case: &KvCase, placement: KvPlacement, rate: f64) -> C
     let spec = KvStreamSpec::new(case.mix, case.dist, placement);
     let st = ClusterStream::kv_service(spec, (0..N_CLIENTS).collect())
         .open_loop(OpenLoopSpec::poisson(rate));
-    let sc = scenario(quick).with_faults(case.faults.clone());
+    let sc = cluster_scenario(quick).with_faults(case.faults.clone());
     run_cluster(&sc, &[st])
 }
 

@@ -27,6 +27,7 @@ pub mod openloop;
 pub mod table3_packets;
 
 use simnet::time::Nanos;
+use snic_cluster::ClusterScenario;
 
 use crate::harness::Scenario;
 
@@ -40,6 +41,15 @@ pub fn scenario(quick: bool) -> Scenario {
         }
     } else {
         Scenario::default()
+    }
+}
+
+/// Rack scenario durations for quick vs full runs.
+pub fn cluster_scenario(quick: bool) -> ClusterScenario {
+    if quick {
+        ClusterScenario::quick()
+    } else {
+        ClusterScenario::paper_testbed()
     }
 }
 

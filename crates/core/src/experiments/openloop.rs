@@ -23,9 +23,11 @@
 use nicsim::{PathKind, Verb};
 use simnet::arrivals::{DropPolicy, OpenLoopSpec};
 use simnet::time::Nanos;
-use snic_cluster::{run_cluster, ClusterScenario, ClusterStream, ClusterStreamResult};
+use snic_cluster::{run_cluster, ClusterStream, ClusterStreamResult};
 
 use crate::report::{fmt_f, Table};
+
+use super::cluster_scenario;
 
 /// Request payload for every point (small enough that the PU pools, not
 /// the wire, set the saturation point).
@@ -43,15 +45,6 @@ const TAIL_QUEUE_CAP: usize = 64;
 /// enough that the deadline, not the depth, is what sheds load.
 const DEADLINE_QUEUE_CAP: usize = 4096;
 
-/// Cluster scenario for quick vs full runs.
-fn scenario(quick: bool) -> ClusterScenario {
-    if quick {
-        ClusterScenario::quick()
-    } else {
-        ClusterScenario::paper_testbed()
-    }
-}
-
 /// Client machines driving a path: six requesters for the remote paths,
 /// none for the server-local path 3.
 fn clients(path: PathKind) -> Vec<usize> {
@@ -67,7 +60,7 @@ fn closed_point(quick: bool, path: PathKind, window: usize, threads: usize) -> C
     let stream = ClusterStream::new(path, Verb::Write, PAYLOAD, clients(path))
         .with_window(window)
         .with_threads(threads);
-    let mut r = run_cluster(&scenario(quick), &[stream]);
+    let mut r = run_cluster(&cluster_scenario(quick), &[stream]);
     r.streams.remove(0)
 }
 
@@ -75,7 +68,7 @@ fn closed_point(quick: bool, path: PathKind, window: usize, threads: usize) -> C
 /// `(stream, drop_tail, drop_deadline)`.
 fn open_point(quick: bool, path: PathKind, spec: OpenLoopSpec) -> (ClusterStreamResult, u64, u64) {
     let stream = ClusterStream::new(path, Verb::Write, PAYLOAD, clients(path)).open_loop(spec);
-    let mut r = run_cluster(&scenario(quick), &[stream]);
+    let mut r = run_cluster(&cluster_scenario(quick), &[stream]);
     let tail = r.metrics.counter_value("admission_drop_tail").unwrap_or(0);
     let deadline = r
         .metrics

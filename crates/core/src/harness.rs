@@ -15,11 +15,10 @@ use pcie_model::counters::{LinkId, PcieCounters};
 use rdma_sim::doorbell::{PostCostModel, PostMode, PosterKind};
 use simnet::engine::Engine;
 use simnet::faults::{drive_attempts, fault_key, FaultSpec};
-use simnet::metrics::{CounterId, Hop, HopBreakdown, Registry};
+use simnet::metrics::{CounterId, HistogramId, Hop, HopBreakdown, Registry};
 use simnet::rng::SimRng;
 use simnet::stats::{Histogram, LatencySummary};
 use simnet::time::{measured_window, Bandwidth, Nanos, Rate};
-use simnet::trace::{TraceCat, TraceRing};
 
 /// RC ack timeout: how long a requester waits for an attempt's
 /// response before declaring it lost and retransmitting. About 4x the
@@ -189,9 +188,6 @@ pub struct Scenario {
     /// (off by default: the hot path then pays one branch per record
     /// site and [`ScenarioResult::breakdown`] stays empty).
     pub metrics: bool,
-    /// Capacity of the scenario trace ring; `0` (the default) disables
-    /// tracing entirely.
-    pub trace_cap: usize,
     /// Fault-injection schedule. The default ([`FaultSpec::none`]) is
     /// inert: no fault plane is installed and the run is byte-identical
     /// to one that never heard of faults. Stochastic faults retry after
@@ -208,7 +204,6 @@ impl Default for Scenario {
             duration: Nanos::from_millis(2),
             seed: 42,
             metrics: false,
-            trace_cap: 0,
             faults: FaultSpec::none(),
         }
     }
@@ -224,23 +219,9 @@ impl Scenario {
         }
     }
 
-    /// A throughput scenario against the RNIC baseline.
-    pub fn rnic() -> Self {
-        Scenario {
-            server: ServerKind::Rnic,
-            ..Self::default()
-        }
-    }
-
     /// Turns on the metrics registry and per-hop attribution.
     pub fn with_metrics(mut self) -> Self {
         self.metrics = true;
-        self
-    }
-
-    /// Sets the trace-ring capacity (0 disables tracing).
-    pub fn with_trace_cap(mut self, cap: usize) -> Self {
-        self.trace_cap = cap;
         self
     }
 
@@ -335,8 +316,6 @@ pub struct ScenarioResult {
     /// Metrics registry over the measurement window (empty unless
     /// [`Scenario::metrics`] was set).
     pub metrics: Registry,
-    /// Scenario trace ring (disabled unless [`Scenario::trace_cap`] > 0).
-    pub trace: TraceRing,
     /// Simulator events delivered over the whole run (warmup included) —
     /// the denominator for events/sec macro benchmarks.
     pub events: u64,
@@ -361,11 +340,6 @@ impl ScenarioResult {
     /// TLP throughput on one link over the measurement window.
     pub fn tlp_rate(&self, link: LinkId) -> Rate {
         self.counters.tlp_rate(link, self.window)
-    }
-
-    /// TLP throughput across all links.
-    pub fn total_tlp_rate(&self) -> Rate {
-        self.counters.total_tlp_rate(self.window)
     }
 
     /// Data-bearing TLP throughput on the SmartNIC's PCIe channels —
@@ -393,20 +367,32 @@ struct ThreadState {
     posts: u64,
 }
 
-struct StreamState {
-    spec: StreamSpec,
-    cost: PostCostModel,
-    threads: Vec<ThreadState>,
+/// One stream's meters. The warmup's values are dropped by replacing
+/// them with the default.
+#[derive(Default)]
+struct Meters {
     hist: Histogram,
     /// Completions inside the measured window, and their payload bytes.
     completed: u64,
     bytes: u64,
-    pace: Nanos,
     bd_sum: HopBreakdown,
     bd_count: u64,
     e2e_sum: Nanos,
     retransmits: u64,
     retry_exhausted: u64,
+}
+
+struct StreamState {
+    spec: StreamSpec,
+    /// Requester CPU time per post.
+    cpu_cost: Nanos,
+    /// Per-thread interval between posts that holds the rate cap (zero
+    /// when uncapped).
+    pace: Nanos,
+    threads: Vec<ThreadState>,
+    /// The registry counter of posts in this stream's posting mode.
+    posted_mode: CounterId,
+    meters: Meters,
 }
 
 #[derive(Clone, Copy)]
@@ -415,125 +401,108 @@ struct Ev {
     thread: usize,
 }
 
-/// Runs `streams` concurrently under `scenario`.
-///
-/// # Panics
-///
-/// Panics if the warmup ends after the run, a stream references a
-/// missing client machine, or a SmartNIC path is run against the RNIC
-/// server.
-pub fn run_scenario(scenario: &Scenario, streams: &[StreamSpec]) -> ScenarioResult {
-    run_scenario_detailed(scenario, streams).0
+/// One run's closed loop: the responder, every stream's requester
+/// threads and meters, and the registry. [`ClosedLoop::post`] handles
+/// every event of the warmup and of the measured phase.
+struct ClosedLoop {
+    fabric: Fabric,
+    streams: Vec<StreamState>,
+    registry: Registry,
+    c_posted: CounterId,
+    c_completed: CounterId,
+    c_deferred: CounterId,
+    c_late: CounterId,
+    c_retrans: CounterId,
+    c_exhausted: CounterId,
+    h_other: HistogramId,
+    /// Whether the registry and hop attribution record.
+    metrics: bool,
+    /// Whether the fault plane can fail an attempt.
+    stochastic: bool,
+    horizon: Nanos,
 }
 
-/// Like [`run_scenario`] but also returns the post-run fabric, exposing
-/// resource utilizations and raw counters for deeper analysis.
-pub fn run_scenario_detailed(
-    scenario: &Scenario,
-    streams: &[StreamSpec],
-) -> (ScenarioResult, Fabric) {
-    let window = measured_window(scenario.warmup, scenario.duration);
-    let mut fabric = scenario.server.fabric(scenario.n_clients);
-    let mut root_rng = SimRng::seed(scenario.seed);
-
-    let mut states: Vec<StreamState> = streams
-        .iter()
-        .map(|spec| {
-            let poster = PosterKind::for_path(spec.path);
-            let cost = match poster {
-                PosterKind::Client => {
-                    let c = spec.clients.first().expect("stream needs clients");
-                    PostCostModel::new(fabric.clients[*c].spec(), poster)
-                }
-                _ => PostCostModel::new(fabric.server.spec(), poster),
-            };
-            let n = spec.total_threads();
-            let pace = match spec.rate_cap {
-                Some(cap) => {
-                    // Per-thread inter-post interval to hold the cap.
+impl ClosedLoop {
+    fn new(scenario: &Scenario, streams: &[StreamSpec]) -> Self {
+        let mut fabric = scenario.server.fabric(scenario.n_clients);
+        // Fault plane: an inert spec installs nothing (see simnet::faults),
+        // so a default scenario runs the exact same instruction stream as
+        // one with `faults` explicitly set to `FaultSpec::none()`.
+        fabric.set_faults(scenario.faults.clone());
+        fabric.set_metrics(scenario.metrics);
+        let stochastic = fabric.faults().is_some_and(|p| p.has_stochastic_faults());
+        // The registry is a no-op unless opted in, but always lists its
+        // counters.
+        let mut registry = Registry::new();
+        let c_posted = registry.counter("requests_posted");
+        let c_completed = registry.counter("requests_completed");
+        let c_deferred = registry.counter("posts_deferred");
+        let c_late = registry.counter("completions_past_horizon");
+        let c_retrans = registry.counter("rc_retransmits");
+        let c_exhausted = registry.counter("rc_retry_exhausted");
+        let h_other = registry.histogram("attribution_other_ns");
+        let mut root_rng = SimRng::seed(scenario.seed);
+        let streams = streams
+            .iter()
+            .map(|spec| {
+                let poster = PosterKind::for_path(spec.path);
+                let machine = match poster {
+                    PosterKind::Client => {
+                        let c = spec.clients.first().expect("stream needs clients");
+                        fabric.clients[*c].spec()
+                    }
+                    _ => fabric.server.spec(),
+                };
+                let cpu_cost =
+                    PostCostModel::new(machine, poster).cpu_time_per_request(spec.post_mode);
+                let n = spec.total_threads();
+                let pace = spec.rate_cap.map_or(Nanos::ZERO, |cap| {
                     let per_thread = Bandwidth::bytes_per_sec(cap.as_bytes_per_sec() / n as f64);
                     per_thread.transfer_time(spec.payload.max(1))
+                });
+                StreamState {
+                    spec: spec.clone(),
+                    cpu_cost,
+                    pace,
+                    threads: (0..n)
+                        .map(|i| ThreadState {
+                            cpu_free: Nanos::ZERO,
+                            next_allowed: Nanos::ZERO,
+                            rng: root_rng.fork(i as u64),
+                            posts: 0,
+                        })
+                        .collect(),
+                    posted_mode: registry.counter(&format!("posted_{}", spec.post_mode.label())),
+                    meters: Meters::default(),
                 }
-                None => Nanos::ZERO,
-            };
-            StreamState {
-                cost,
-                threads: (0..n)
-                    .map(|i| ThreadState {
-                        cpu_free: Nanos::ZERO,
-                        next_allowed: Nanos::ZERO,
-                        rng: root_rng.fork(i as u64),
-                        posts: 0,
-                    })
-                    .collect(),
-                hist: Histogram::new(),
-                completed: 0,
-                bytes: 0,
-                pace,
-                bd_sum: HopBreakdown::new(),
-                bd_count: 0,
-                e2e_sum: Nanos::ZERO,
-                retransmits: 0,
-                retry_exhausted: 0,
-                spec: spec.clone(),
-            }
-        })
-        .collect();
-
-    // Fault plane: an inert spec installs nothing (see simnet::faults),
-    // so a default scenario runs the exact same instruction stream as
-    // one with `faults` explicitly set to `FaultSpec::none()`.
-    fabric.set_faults(scenario.faults.clone());
-
-    // Metrics registry and trace ring (no-ops unless opted in).
-    let metrics_on = scenario.metrics;
-    fabric.set_metrics(metrics_on);
-    let mut registry = Registry::new();
-    let c_posted = registry.counter("requests_posted");
-    let c_completed = registry.counter("requests_completed");
-    let c_deferred = registry.counter("posts_deferred");
-    let c_late = registry.counter("completions_past_horizon");
-    let c_retrans = registry.counter("rc_retransmits");
-    let c_exhausted = registry.counter("rc_retry_exhausted");
-    let h_other = registry.histogram("attribution_other_ns");
-    let post_ctrs: Vec<CounterId> = states
-        .iter()
-        .map(|st| registry.counter(&format!("posted_{}", st.spec.post_mode.label())))
-        .collect();
-    let mut trace = if scenario.trace_cap > 0 {
-        TraceRing::new(scenario.trace_cap)
-    } else {
-        TraceRing::disabled()
-    };
-
-    let horizon = scenario.duration;
-    let mut eng: Engine<Ev> = Engine::new();
-    // Seed the windows, staggering posts slightly so same-instant FIFO
-    // ordering does not favour stream 0.
-    for (si, st) in states.iter().enumerate() {
-        for ti in 0..st.threads.len() {
-            for w in 0..st.spec.window {
-                let jitter = Nanos::new((si + ti * 7 + w * 13) as u64 % 97);
-                eng.schedule(
-                    jitter,
-                    Ev {
-                        stream: si,
-                        thread: ti,
-                    },
-                )
-                .expect("seeding events at t~0");
-            }
+            })
+            .collect();
+        ClosedLoop {
+            fabric,
+            streams,
+            registry,
+            c_posted,
+            c_completed,
+            c_deferred,
+            c_late,
+            c_retrans,
+            c_exhausted,
+            h_other,
+            metrics: scenario.metrics,
+            stochastic,
+            horizon: scenario.duration,
         }
     }
 
-    let handler = |eng: &mut Engine<Ev>,
-                   now: Nanos,
-                   ev: Ev,
-                   fabric: &mut Fabric,
-                   states: &mut Vec<StreamState>,
-                   registry: &mut Registry,
-                   trace: &mut TraceRing| {
-        let st = &mut states[ev.stream];
+    /// Thread `ev.thread` of stream `ev.stream` posts one request, runs
+    /// it through the transport's retries and schedules its next post at
+    /// the completion. A thread whose CPU or rate cap is not free yet
+    /// defers instead.
+    // Inlined into both phases' loops: out of line, `harness_sweep`
+    // spends about 3% more wall time.
+    #[inline]
+    fn post(&mut self, eng: &mut Engine<Ev>, now: Nanos, ev: Ev) {
+        let st = &mut self.streams[ev.stream];
         let spec = &st.spec;
         let th = &mut st.threads[ev.thread];
         // If the thread cannot post yet (CPU pacing or a rate cap),
@@ -542,15 +511,15 @@ pub fn run_scenario_detailed(
         // later-posted-but-earlier requests of other threads.
         let earliest = th.cpu_free.max(th.next_allowed);
         if earliest > now {
-            if metrics_on {
-                registry.inc(c_deferred);
+            if self.metrics {
+                self.registry.inc(self.c_deferred);
             }
             eng.schedule(earliest, ev)
                 .expect("deferred post is in the future");
             return;
         }
         let posted = now;
-        th.cpu_free = posted + st.cost.cpu_time_per_request(spec.post_mode);
+        th.cpu_free = posted + st.cpu_cost;
         if st.pace > Nanos::ZERO {
             th.next_allowed = posted + st.pace;
         }
@@ -571,10 +540,6 @@ pub fn run_scenario_detailed(
         }
         let post_idx = th.posts;
         th.posts += 1;
-        let stochastic = fabric
-            .faults()
-            .map(|p| p.has_stochastic_faults())
-            .unwrap_or(false);
         // Reliable-transport loop (shared engine: `drive_attempts`).
         // Each attempt burns full fabric resources (loss is detected
         // only after the frame crossed every hop); the requester times
@@ -583,49 +548,48 @@ pub fn run_scenario_detailed(
         // recorded; the closed loop reposts). With no stochastic faults
         // this collapses to the single execute of the fault-free path.
         let outcome = drive_attempts(posted, RC_TIMEOUT, RC_RETRY_CNT, |t, attempt| {
-            fabric.apply_fault_windows(t);
-            let (c, bd) = if metrics_on {
-                let (c, bd) = fabric.execute_attributed(t, req);
+            self.fabric.apply_fault_windows(t);
+            let (c, bd) = if self.metrics {
+                let (c, bd) = self.fabric.execute_attributed(t, req);
                 if attempt == 0 {
-                    registry.inc(c_posted);
-                    registry.inc(post_ctrs[ev.stream]);
+                    self.registry.inc(self.c_posted);
+                    self.registry.inc(st.posted_mode);
                 }
                 (c, Some(bd))
             } else {
-                (fabric.execute(t, req), None)
+                (self.fabric.execute(t, req), None)
             };
-            let failed = stochastic
-                && fabric
-                    .faults()
-                    .map(|p| {
-                        p.attempt_fails(
-                            fault_key(&[
-                                ev.stream as u64,
-                                ev.thread as u64,
-                                post_idx,
-                                u64::from(attempt),
-                            ]),
-                            spec.path.wire_crossings(),
-                            // DPA service terminates at the NIC-resident
-                            // cores: the attempt never crosses PCIe1.
-                            if spec.dpa {
-                                0
-                            } else {
-                                spec.path.pcie1_crossings()
-                            },
-                        )
-                    })
-                    .unwrap_or(false);
+            let failed = self.stochastic
+                && self.fabric.faults().is_some_and(|p| {
+                    p.attempt_fails(
+                        fault_key(&[
+                            ev.stream as u64,
+                            ev.thread as u64,
+                            post_idx,
+                            u64::from(attempt),
+                        ]),
+                        spec.path.wire_crossings(),
+                        // DPA service terminates at the NIC-resident
+                        // cores: the attempt never crosses PCIe1.
+                        if spec.dpa {
+                            0
+                        } else {
+                            spec.path.pcie1_crossings()
+                        },
+                    )
+                });
             ((c, bd), failed)
         });
-        st.retransmits += u64::from(outcome.retries);
-        if metrics_on {
-            registry.add(c_retrans, u64::from(outcome.retries));
+        let m = &mut st.meters;
+        m.retransmits += u64::from(outcome.retries);
+        if self.metrics {
+            self.registry
+                .add(self.c_retrans, u64::from(outcome.retries));
         }
         if outcome.exhausted {
-            st.retry_exhausted += 1;
-            if metrics_on {
-                registry.inc(c_exhausted);
+            m.retry_exhausted += 1;
+            if self.metrics {
+                self.registry.inc(self.c_exhausted);
             }
             eng.schedule((outcome.last_start + RC_TIMEOUT).max(now), ev)
                 .expect("repost after retry exhaustion");
@@ -635,130 +599,119 @@ pub fn run_scenario_detailed(
         // A retransmitted completion's latency is still measured from
         // the original post instant.
         let c = Completion { posted, ..c };
-        if trace.is_enabled() {
-            trace.record(
-                posted,
-                TraceCat::Post,
-                format!("s{} t{}", ev.stream, ev.thread),
-            );
-            trace.record(
-                c.completed,
-                TraceCat::Complete,
-                format!(
-                    "s{} t{} lat={}",
-                    ev.stream,
-                    ev.thread,
-                    c.latency().as_nanos()
-                ),
-            );
-        }
         // Only completions inside the fixed measurement window count:
         // completions past the horizon belong to terminal backlog and
         // would bias the rate (their posts are matched by pre-window
         // posts completing inside the window).
-        if c.completed <= horizon {
-            st.hist.record(c.latency());
-            st.completed += 1;
-            st.bytes += spec.payload;
+        if c.completed <= self.horizon {
+            m.hist.record(c.latency());
+            m.completed += 1;
+            m.bytes += spec.payload;
             if let Some(bd) = bd {
-                st.bd_sum.merge(&bd);
-                st.bd_count += 1;
-                st.e2e_sum += c.latency();
-                registry.inc(c_completed);
-                registry.observe(h_other, bd.get(Hop::Other));
+                m.bd_sum.merge(&bd);
+                m.bd_count += 1;
+                m.e2e_sum += c.latency();
+                self.registry.inc(self.c_completed);
+                self.registry.observe(self.h_other, bd.get(Hop::Other));
             }
-        } else if metrics_on {
-            registry.inc(c_late);
+        } else if self.metrics {
+            self.registry.inc(self.c_late);
         }
-        eng.schedule(
-            c.completed.max(now),
-            Ev {
-                stream: ev.stream,
-                thread: ev.thread,
-            },
-        )
-        .expect("completion is in the future");
-    };
-
-    // Warmup phase.
-    eng.run_until(scenario.warmup, |eng, now, ev| {
-        handler(
-            eng,
-            now,
-            ev,
-            &mut fabric,
-            &mut states,
-            &mut registry,
-            &mut trace,
-        );
-    });
-    // Reset meters and counters; measure.
-    for st in &mut states {
-        st.hist = Histogram::new();
-        st.completed = 0;
-        st.bytes = 0;
-        st.bd_sum = HopBreakdown::new();
-        st.bd_count = 0;
-        st.e2e_sum = Nanos::ZERO;
-        st.retransmits = 0;
-        st.retry_exhausted = 0;
+        eng.schedule(c.completed.max(now), ev)
+            .expect("completion is in the future");
     }
-    registry.reset_values();
-    let snap = fabric.server.counters().snapshot();
-    eng.run_until(scenario.duration, |eng, now, ev| {
-        handler(
-            eng,
-            now,
-            ev,
-            &mut fabric,
-            &mut states,
-            &mut registry,
-            &mut trace,
-        );
-    });
+}
 
-    let counters = fabric.server.counters().delta_since(&snap);
-    let breakdown = if metrics_on {
-        states
+/// Runs `streams` concurrently under `scenario`.
+///
+/// # Panics
+///
+/// Panics if the warmup ends after the run, a remote stream lists no
+/// client machines or references a missing one, a SmartNIC path is run
+/// against the RNIC server, or a DPA stream meets a server without a DPA
+/// plane.
+pub fn run_scenario(scenario: &Scenario, streams: &[StreamSpec]) -> ScenarioResult {
+    run_scenario_detailed(scenario, streams).0
+}
+
+/// Like [`run_scenario`] but also returns the post-run fabric, exposing
+/// resource utilizations and raw counters for deeper analysis.
+pub fn run_scenario_detailed(
+    scenario: &Scenario,
+    streams: &[StreamSpec],
+) -> (ScenarioResult, Fabric) {
+    let window = measured_window(scenario.warmup, scenario.duration);
+    let mut run = ClosedLoop::new(scenario, streams);
+    let mut eng: Engine<Ev> = Engine::new();
+    // Seed the windows, staggering posts slightly so same-instant FIFO
+    // ordering does not favour stream 0.
+    for (si, st) in run.streams.iter().enumerate() {
+        for ti in 0..st.threads.len() {
+            for w in 0..st.spec.window {
+                let jitter = Nanos::new((si + ti * 7 + w * 13) as u64 % 97);
+                eng.schedule(
+                    jitter,
+                    Ev {
+                        stream: si,
+                        thread: ti,
+                    },
+                )
+                .expect("seeding events at t~0");
+            }
+        }
+    }
+
+    eng.run_until(scenario.warmup, |eng, now, ev| run.post(eng, now, ev));
+    // Reset meters and counters; measure.
+    for st in &mut run.streams {
+        st.meters = Meters::default();
+    }
+    run.registry.reset_values();
+    let snap = run.fabric.server.counters().snapshot();
+    eng.run_until(scenario.duration, |eng, now, ev| run.post(eng, now, ev));
+
+    let counters = run.fabric.server.counters().delta_since(&snap);
+    let breakdown = if run.metrics {
+        run.streams
             .iter()
             .map(|st| MeasuredBreakdown {
                 label: st.spec.label.clone(),
                 path: st.spec.path,
                 verb: st.spec.verb,
                 payload: st.spec.payload,
-                count: st.bd_count,
-                residency: st.bd_sum,
-                e2e_total: st.e2e_sum,
+                count: st.meters.bd_count,
+                residency: st.meters.bd_sum,
+                e2e_total: st.meters.e2e_sum,
             })
             .collect()
     } else {
         Vec::new()
     };
     let result = ScenarioResult {
-        streams: states
+        streams: run
+            .streams
             .iter()
             .map(|st| StreamResult {
                 label: st.spec.label.clone(),
-                latency: st.hist.summary(),
-                ops: Rate::over(st.completed, window),
-                goodput: Bandwidth::over(st.bytes, window),
-                retransmits: st.retransmits,
-                retry_exhausted: st.retry_exhausted,
+                latency: st.meters.hist.summary(),
+                ops: Rate::over(st.meters.completed, window),
+                goodput: Bandwidth::over(st.meters.bytes, window),
+                retransmits: st.meters.retransmits,
+                retry_exhausted: st.meters.retry_exhausted,
             })
             .collect(),
         counters,
         window,
         breakdown,
-        metrics: registry,
-        trace,
+        metrics: run.registry,
         events: eng.delivered(),
     };
-    (result, fabric)
+    (result, run.fabric)
 }
 
-/// Convenience: measure one stream's latency with the paper's latency
-/// methodology (1 client, window 1, 1 thread).
-pub fn measure_latency(path: PathKind, verb: Verb, payload: u64) -> StreamResult {
+/// The paper's latency methodology (§2.4) for one stream: one client,
+/// one thread, window 1, against the path's responder.
+fn latency_point(path: PathKind, verb: Verb, payload: u64) -> (Scenario, StreamSpec) {
     let scenario = Scenario {
         server: ServerKind::for_path(path),
         ..Scenario::latency()
@@ -768,6 +721,13 @@ pub fn measure_latency(path: PathKind, verb: Verb, payload: u64) -> StreamResult
         window: 1,
         ..StreamSpec::new(path, verb, payload, 1)
     };
+    (scenario, spec)
+}
+
+/// Convenience: measure one stream's latency with the paper's latency
+/// methodology (1 client, window 1, 1 thread).
+pub fn measure_latency(path: PathKind, verb: Verb, payload: u64) -> StreamResult {
+    let (scenario, spec) = latency_point(path, verb, payload);
     run_scenario(&scenario, &[spec]).streams.remove(0)
 }
 
@@ -775,16 +735,10 @@ pub fn measure_latency(path: PathKind, verb: Verb, payload: u64) -> StreamResult
 /// the paper's latency methodology (1 client, window 1, 1 thread) and
 /// metrics enabled.
 pub fn measure_breakdown(path: PathKind, verb: Verb, payload: u64) -> MeasuredBreakdown {
-    let scenario = Scenario {
-        server: ServerKind::for_path(path),
-        ..Scenario::latency().with_metrics()
-    };
-    let spec = StreamSpec {
-        threads_per_client: 1,
-        window: 1,
-        ..StreamSpec::new(path, verb, payload, 1)
-    };
-    run_scenario(&scenario, &[spec]).breakdown.remove(0)
+    let (scenario, spec) = latency_point(path, verb, payload);
+    run_scenario(&scenario.with_metrics(), &[spec])
+        .breakdown
+        .remove(0)
 }
 
 /// Convenience: measure one stream's peak throughput with the paper's

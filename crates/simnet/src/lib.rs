@@ -31,7 +31,6 @@ pub mod resource;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use arrivals::{
     Admission, AdmissionQueue, Arrival, ArrivalGen, ArrivalProcess, DropPolicy, OpenLoopSpec,
@@ -43,4 +42,3 @@ pub use resource::{Dir, DuplexPipe, MultiServer, Pipe, Reservation, Server};
 pub use rng::SimRng;
 pub use stats::{Histogram, LatencySummary};
 pub use time::{Bandwidth, Nanos, Rate};
-pub use trace::{TraceCat, TraceEvent, TraceRing};

@@ -23,11 +23,10 @@ use crate::time::Nanos;
 
 /// A latency-attribution category: one hop of a request's journey.
 ///
-/// Hops mirror the components of the paper's Figure 3 flow diagram (and
-/// the [`crate::trace::TraceCat`] coarse categories): requester-side
-/// posting, the NIC processing units, each PCIe channel of the SmartNIC
-/// (PCIe1, the switch, PCIe0, the SoC attach), the DMA engines, memory,
-/// responder CPU handling and completion delivery.
+/// Hops mirror the components of the paper's Figure 3 flow diagram:
+/// requester-side posting, the NIC processing units, each PCIe channel
+/// of the SmartNIC (PCIe1, the switch, PCIe0, the SoC attach), the DMA
+/// engines, memory, responder CPU handling and completion delivery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Hop {
     /// Requester MMIO/doorbell until the (client or server) NIC sees the

@@ -183,23 +183,28 @@ fi
 # Smoke the README's first example (harness latency on paths 1 and 2,
 # then the advisor), the cluster runtime end to end through its example
 # and its scaled-rack sweep (which also checks one- and two-worker
-# results are identical),
-# and the fault-injection, open-loop, KV-service, far-memory and BF-3
-# DPA sweeps through the figure runner.
+# results are identical), and the two KV examples built on Figure 1's
+# one-client, one-server rack helper.
 cargo run --release --offline -p offpath-smartnic --example quickstart
 cargo run --release --offline -p offpath-smartnic --example incast -- --quick
 cargo run --release --offline -p offpath-smartnic --example rack_scaling -- --quick
-cargo run --release --offline -p snic-bench --bin run_all -- --only 15 --quick
-cargo run --release --offline -p snic-bench --bin run_all -- --only 16 --quick
-cargo run --release --offline -p snic-bench --bin run_all -- --only 17 --quick
-cargo run --release --offline -p snic-bench --bin run_all -- --only 18 --quick
-cargo run --release --offline -p snic-bench --bin run_all -- --only 19 --quick
-
-# Figure 1 runs on the rack KV service as well: smoke its table and the
-# two examples built on the same one-client, one-server helper.
-cargo run --release --offline -p snic-bench --bin run_all -- --only fig1_ --quick
 cargo run --release --offline -p offpath-smartnic --example kv_offload
 cargo run --release --offline -p offpath-smartnic --example ycsb_mixes
+
+# Every figure and table in quick mode, the fault-injection, open-loop,
+# KV-service, far-memory and BF-3 DPA sweeps and the Figure-1 table
+# among them: run_all --quick's stdout must hash to the digest recorded
+# here. A change that moves any result re-records it (the sha256sum of
+# the new stdout) and says why in CHANGES.md.
+run_all_sha256=2746c72001301f34e9584e357005d9c979f1f191d37262141f7bc155ccd339bc
+run_all_out="${CARGO_TARGET_DIR:-target}/run_all_quick.txt"
+cargo run --release --offline -q -p snic-bench --bin run_all -- --quick >"$run_all_out"
+run_all_got=$(sha256sum <"$run_all_out" | cut -d' ' -f1)
+if [[ "$run_all_got" != "$run_all_sha256" ]]; then
+    echo "ci.sh: run_all --quick stdout ($run_all_out) hashes to $run_all_got," \
+        "not the recorded $run_all_sha256 (a result moved?)" >&2
+    exit 1
+fi
 
 # Repository benchmark smoke: snicbench's own tests, then every workload
 # at --seconds 0 (its minimum of three passes). snicbench exits 0 even
@@ -216,4 +221,4 @@ for workload in rack_verbs rack_services harness_sweep; do
     fi
 done
 
-echo "ci.sh: build + tests + fmt + clippy (workspace and snicbench) + rustdoc + cluster determinism + golden digests + LLC oracle and width tests (lockstep_matches_per_line_oracle, repeated_receive_buffer_write_on_xeon, runs_match_per_line_oracle, narrow_tags_widen_in_place, tag_storage_is_allocated_per_touched_chunk) + scheduler and primitive oracles (engine_matches_baseline_across_the_deque_threshold, from_nanos_f64_matches_round, multiserver_matches_heap_model, pipe_memo_matches_uncached_service, zipf_guide_matches_the_searches, probes_match_linear_probing_model, index_matches_hashmap_oracle) + rack runtime oracles (outboxes_release_messages_in_ordered_map_order, an_outbox_rejects_a_departure_before_its_last, gate_re_raises_a_worker_panic_on_the_driver, a_worker_panic_reaches_the_caller) + rack executor rule (forced_parallel_invariance x7, the_paper_racks_verb_streams_run_no_parallel_epoch, a_start_up_burst_does_not_switch_the_window, sustained_spare_work_switches_the_window, hysteresis_holds_near_the_grain) + DMA-leg digest (dma_legs_match_recorded_digest) + quickstart and rack_scaling examples + Figure-1 table and KV examples + benchmark smoke all green (offline)"
+echo "ci.sh: build + tests + fmt + clippy (workspace and snicbench) + rustdoc + cluster determinism + golden digests + LLC oracle and width tests (lockstep_matches_per_line_oracle, repeated_receive_buffer_write_on_xeon, runs_match_per_line_oracle, narrow_tags_widen_in_place, tag_storage_is_allocated_per_touched_chunk) + scheduler and primitive oracles (engine_matches_baseline_across_the_deque_threshold, from_nanos_f64_matches_round, multiserver_matches_heap_model, pipe_memo_matches_uncached_service, zipf_guide_matches_the_searches, probes_match_linear_probing_model, index_matches_hashmap_oracle) + rack runtime oracles (outboxes_release_messages_in_ordered_map_order, an_outbox_rejects_a_departure_before_its_last, gate_re_raises_a_worker_panic_on_the_driver, a_worker_panic_reaches_the_caller) + rack executor rule (forced_parallel_invariance x7, the_paper_racks_verb_streams_run_no_parallel_epoch, a_start_up_burst_does_not_switch_the_window, sustained_spare_work_switches_the_window, hysteresis_holds_near_the_grain) + DMA-leg digest (dma_legs_match_recorded_digest) + quickstart, incast, rack_scaling and KV examples + run_all --quick stdout digest + benchmark smoke all green (offline)"

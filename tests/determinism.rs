@@ -76,53 +76,6 @@ fn scenario_csv_byte_identical_across_runs() {
 }
 
 #[test]
-fn trace_dump_byte_identical_and_ring_wraps() {
-    // A deliberately tiny ring: the run records two events per request
-    // (post + completion), so the ring wraps many times over — and the
-    // retained tail must still be byte-identical across same-seed runs.
-    let cap = 64;
-    let spec = || {
-        vec![
-            StreamSpec::new(PathKind::Snic1, Verb::Read, 256, 5),
-            StreamSpec::new(PathKind::Snic3H2S, Verb::Write, 1024, 1),
-        ]
-    };
-    let run = || {
-        let scenario = quick(13).with_trace_cap(cap);
-        run_scenario(&scenario, &spec())
-    };
-    let a = run();
-    let b = run();
-
-    // Wraparound actually happened and eviction kept exactly `cap`.
-    assert!(
-        a.trace.recorded() > cap as u64,
-        "ring never wrapped: {} events",
-        a.trace.recorded()
-    );
-    assert_eq!(a.trace.iter().count(), cap);
-
-    // Same seed => byte-identical dumps, wraparound and all.
-    assert_eq!(a.trace.recorded(), b.trace.recorded());
-    let da = a.trace.dump();
-    let db = b.trace.dump();
-    assert!(!da.is_empty());
-    assert_eq!(
-        da.as_bytes(),
-        db.as_bytes(),
-        "trace dumps diverged:\n{da}\nvs\n{db}"
-    );
-}
-
-#[test]
-fn trace_disabled_by_default() {
-    let spec = vec![StreamSpec::new(PathKind::Snic1, Verb::Read, 256, 2)];
-    let r = run_scenario(&quick(13), &spec);
-    assert!(!r.trace.is_enabled());
-    assert_eq!(r.trace.recorded(), 0);
-}
-
-#[test]
 fn measured_breakdown_deterministic() {
     let run = || {
         let scenario = quick(29).with_metrics();
